@@ -28,9 +28,11 @@ inline std::atomic<std::uint64_t> gEpochSource{1};
 /// Fibonacci multiply-shift over the middle address bits (heap
 /// addresses share their low alignment bits and high region bits).
 /// Consumers index with the TOP bits of the result — those are the
-/// well-mixed ones.
+/// well-mixed ones.  The shift drops only 3 bits: 8 bytes is the
+/// smallest dependency object the apps use (adjacent doubles), and
+/// dropping a 4th bit would map each such pair to one TLS-cache slot.
 inline std::uint64_t mixAddress(std::uintptr_t bits) {
-  return (static_cast<std::uint64_t>(bits) >> 4) * 0x9E3779B97F4A7C15ull;
+  return (static_cast<std::uint64_t>(bits) >> 3) * 0x9E3779B97F4A7C15ull;
 }
 
 inline constexpr std::size_t kCacheSlotsLog2 = 9;

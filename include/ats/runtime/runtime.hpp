@@ -144,7 +144,7 @@ class Runtime {
   std::size_t liveDescriptors() const {
     std::int64_t sum = 0;
     for (std::size_t i = 0; i <= config_.topo.numCpus; ++i)
-      sum += descriptorDelta_[i].v.load(std::memory_order_relaxed);
+      sum += slots_[i].descriptors.load(std::memory_order_relaxed);
     return sum > 0 ? static_cast<std::size_t>(sum) : 0;
   }
 
@@ -160,8 +160,13 @@ class Runtime {
 
   /// Monotonic count of retired tasks (completed, failed, or skipped) —
   /// the watchdog's progress probe, public so tests can assert on it.
+  /// Summed over the per-slot stripes; exact at quiescence.  Acquire
+  /// loads: tasksInFlight() builds its quiescence check on this read.
   std::uint64_t tasksRetired() const {
-    return retired_.load(std::memory_order_relaxed);
+    std::int64_t sum = 0;
+    for (std::size_t i = 0; i <= config_.topo.numCpus; ++i)
+      sum += slots_[i].retired.load(std::memory_order_acquire);
+    return static_cast<std::uint64_t>(sum);
   }
 
  private:
@@ -217,39 +222,67 @@ class Runtime {
   void drainAndHelp();
   void complete(Task* task);
   void quiesce();
+  /// Spawned minus retired, summed over the stripes in the order the
+  /// quiescence argument needs (see SlotCounters): never a false zero.
+  std::uint64_t tasksInFlight() const;
   std::string watchdogReport() const;
 
   static void completeThunk(Task& task);
   static void reclaimThunk(DepTask& task);
   static void readyThunk(void* ctx, DepTask* task, std::size_t cpu);
 
-  /// Per-CPU-slot allocated-minus-reclaimed delta.  Each slot has a
-  /// single writing thread (workers their own, every non-worker the
-  /// spawner slot), so the hot path is a plain store — no shared-line
-  /// RMW per task like a single counter would cost.
-  struct alignas(64) DescriptorDelta {
-    std::atomic<std::int64_t> v{0};
+  /// The runtime's per-task bookkeeping, striped per CPU slot: live
+  /// descriptors (allocated minus reclaimed), tasks spawned, and tasks
+  /// retired.  Each slot has a single writing thread — workers their
+  /// own, every non-worker the spawner slot — so every bump is a plain
+  /// load+store on a line no other writer touches, instead of a
+  /// shared-line RMW per spawn and per completion.
+  ///
+  /// Quiescence is read from the stripes: tasksInFlight() loads every
+  /// `retired` with acquire, THEN every `spawned`, and taskwait stops
+  /// when the sums agree.  That cannot be a false zero:
+  ///   * a task counted as retired was counted as spawned first, and its
+  ///     spawn bump happens-before its retire store (same thread, or the
+  ///     deps/scheduler release-acquire hand-off to the executing
+  ///     worker), so the later `spawned` reads include it — the spawned
+  ///     sum is never below the retired sum;
+  ///   * an unfinished task spawned by the spawner is in the spawned sum
+  ///     (the reader IS the spawner);
+  ///   * an unfinished child of a FINISHED parent is in it too: the
+  ///     child's spawn precedes the parent's retire store, which the
+  ///     acquire read observed;
+  ///   * an unfinished child of an unfinished parent recurses up its
+  ///     ancestry to one of the two cases above, and that unfinished
+  ///     ancestor keeps the sums apart.
+  /// `retired` is stored with release so the acquire read also
+  /// publishes every body's side effects (and its descriptor drop) to
+  /// the taskwait'er.
+  struct alignas(64) SlotCounters {
+    std::atomic<std::int64_t> descriptors{0};
+    std::atomic<std::int64_t> spawned{0};
+    std::atomic<std::int64_t> retired{0};
   };
 
-  void bumpDescriptorDelta(std::int64_t by) {
-    std::atomic<std::int64_t>& slot = descriptorDelta_[callerCpu()].v;
-    slot.store(slot.load(std::memory_order_relaxed) + by,
-               std::memory_order_relaxed);
+  /// Single-writer add on one of the calling thread's own counters.
+  static void bumpOwned(std::atomic<std::int64_t>& counter, std::int64_t by,
+                        std::memory_order order = std::memory_order_relaxed) {
+    counter.store(counter.load(std::memory_order_relaxed) + by, order);
   }
+
+  SlotCounters& callerSlot() { return slots_[callerCpu()]; }
 
   RuntimeConfig config_;
   std::size_t spawnerCpu_;
   Allocator* alloc_;
   std::unique_ptr<DependencySystem> deps_;
   std::unique_ptr<Scheduler> sched_;
-  std::unique_ptr<DescriptorDelta[]> descriptorDelta_;
+  std::unique_ptr<SlotCounters[]> slots_;
 
-  std::atomic<std::size_t> inFlight_{0};
-  std::atomic<bool> stop_{false};
+  // Read-mostly flags on lines of their own: every idle worker poll
+  // loads stop_, every dequeued task loads the cancellation token.
+  alignas(64) std::atomic<bool> stop_{false};
+  alignas(64) GraphStatus graph_;
   std::vector<std::thread> workers_;
-
-  GraphStatus graph_;
-  std::atomic<std::uint64_t> retired_{0};
   std::thread::id spawnerThread_;
   std::unique_ptr<Watchdog> watchdog_;  // destroyed first: see ~Runtime
 };

@@ -94,7 +94,6 @@ class PoolThreadCache {
   /// MPSC Treiber stack of blocks freed by other threads: anyone
   /// pushes, only the owning thread drains (single exchange).
   std::atomic<void*> remoteHead{nullptr};
-  std::atomic<std::size_t> remotePending{0};
 
   PoolThreadCache* nextInactive = nullptr;
 
@@ -137,7 +136,6 @@ void pushRemote(PoolThreadCache* owner, void* block) {
     writeLink(block, head);
   } while (!owner->remoteHead.compare_exchange_weak(
       head, block, std::memory_order_release, std::memory_order_relaxed));
-  owner->remotePending.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -273,15 +271,12 @@ void PoolAllocator::drainRemote(PoolThreadCache& cache) {
   void* head = cache.remoteHead.exchange(nullptr, std::memory_order_acquire);
   if (head == nullptr) return;
 
-  std::size_t drained = 0;
   while (head != nullptr) {
     void* next = readLink(head);
     stashInMagazine(cache, static_cast<BlockHeader*>(head)->classIdx,
                     head);
-    ++drained;
     head = next;
   }
-  cache.remotePending.fetch_sub(drained, std::memory_order_relaxed);
 }
 
 void PoolAllocator::flushFromMagazine(std::size_t shard, std::size_t cls,
@@ -374,7 +369,15 @@ std::size_t PoolAllocator::testDepotFreeOnShard(std::size_t userSize,
 }
 
 std::size_t PoolAllocator::testRemotePendingOnCaller() {
-  return localCache().remotePending.load(std::memory_order_relaxed);
+  // Walking the list is safe on the owner's thread: only the owner
+  // drains it, and a pusher links its block before the release CAS
+  // that publishes it, so every link reached here is final.
+  std::size_t pending = 0;
+  for (void* block =
+           localCache().remoteHead.load(std::memory_order_acquire);
+       block != nullptr; block = readLink(block))
+    ++pending;
+  return pending;
 }
 
 std::size_t PoolAllocator::testCallerDepotShard() {

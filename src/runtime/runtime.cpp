@@ -131,8 +131,7 @@ Runtime::Runtime(RuntimeConfig config) : config_(std::move(config)) {
   // map from numCpus, and a phantom extra "CPU" would shift
   // cpusPerDomain and misclassify real workers.
   spawnerCpu_ = config_.topo.numCpus;
-  descriptorDelta_ =
-      std::make_unique<DescriptorDelta[]>(config_.topo.numCpus + 1);
+  slots_ = std::make_unique<SlotCounters[]>(config_.topo.numCpus + 1);
   RuntimeConfig schedConfig = config_;
   schedConfig.topo.reservedSlots = config_.topo.reservedSlots + 1;
   sched_ = makeScheduler(schedConfig);
@@ -146,12 +145,8 @@ Runtime::Runtime(RuntimeConfig config) : config_(std::move(config)) {
   if (config_.watchdogTimeoutMs > 0) {
     Watchdog::Options options;
     options.timeout = std::chrono::milliseconds(config_.watchdogTimeoutMs);
-    options.progress = [this] {
-      return retired_.load(std::memory_order_relaxed);
-    };
-    options.busy = [this] {
-      return inFlight_.load(std::memory_order_relaxed) != 0;
-    };
+    options.progress = [this] { return tasksRetired(); };
+    options.busy = [this] { return tasksInFlight() != 0; };
     options.report = [this] { return watchdogReport(); };
     if (config_.watchdogOnStall != nullptr) {
       options.onStall = [fn = config_.watchdogOnStall,
@@ -202,7 +197,7 @@ Task* Runtime::allocateTask() {
   // one hands the descriptor straight back to the allocator.
   task->refCount.store(1, std::memory_order_relaxed);
   task->onLastRef = &reclaimThunk;
-  bumpDescriptorDelta(+1);
+  bumpOwned(callerSlot().descriptors, +1);
   return task;
 }
 
@@ -211,7 +206,7 @@ void Runtime::reclaimThunk(DepTask& dep) {
   Runtime* self = static_cast<Runtime*>(task.runtime);
   task.~Task();
   self->alloc_->deallocate(&task, sizeof(Task));
-  self->bumpDescriptorDelta(-1);
+  bumpOwned(self->callerSlot().descriptors, -1);
 }
 
 void Runtime::registerAndSubmit(Task* task,
@@ -227,16 +222,20 @@ void Runtime::registerAndSubmit(Task* task,
   task->runtime = this;
   task->onComplete = &completeThunk;
   // Count the task in before registering: the sink can hand it to a
-  // worker that runs and completes it before registerTask even returns.
-  inFlight_.fetch_add(1, std::memory_order_relaxed);
+  // worker that runs and completes it before registerTask even returns,
+  // and the quiescence argument (SlotCounters) needs this bump to
+  // happen-before that retirement.
+  const std::size_t cpu = callerCpu();
+  std::atomic<std::int64_t>& spawned = slots_[cpu].spawned;
+  bumpOwned(spawned, +1);
   try {
-    deps_->registerTask(task, accesses.data(), accesses.size(), callerCpu());
+    deps_->registerTask(task, accesses.data(), accesses.size(), cpu);
   } catch (...) {
     // Only the deps_register* failpoints can throw here, and they sit
     // BEFORE the deps layer mutates anything — so the descriptor is
-    // still wholly ours: undo the in-flight accounting, destroy the
+    // still wholly ours: undo the spawn count in place, destroy the
     // closure, and reclaim it so conservation holds for the caller.
-    inFlight_.fetch_sub(1, std::memory_order_acq_rel);
+    bumpOwned(spawned, -1);
     if (task->closureDestroy != nullptr) {
       task->closureDestroy(*task);
       task->closureDestroy = nullptr;
@@ -257,19 +256,18 @@ void Runtime::complete(Task* task) {
     task->closureDestroy = nullptr;
     task->invoker = nullptr;
   }
-  deps_->release(task, callerCpu());
+  const std::size_t cpu = callerCpu();
+  deps_->release(task, cpu);
   // Execution reference: from here the descriptor lives only as long as
   // dependency chains can still reach it — often this drop reclaims it
-  // on the spot.  Must precede the inFlight_ decrement so a taskwait'er
-  // observing zero knows every drop but the deps layer's own is done.
+  // on the spot.  Must precede the retire store so a taskwait'er seeing
+  // the sums agree knows every drop but the deps layer's own is done.
   task->dropRef();
-  // The watchdog's progress probe: bumps on EVERY retirement — run,
-  // failed, or skipped — so a cancelling graph draining is visibly
-  // making progress, not stalling.
-  retired_.fetch_add(1, std::memory_order_relaxed);
-  // Release order: the taskwait'er acquiring inFlight_ == 0 must see
-  // every body's side effects.
-  inFlight_.fetch_sub(1, std::memory_order_acq_rel);
+  // Bumps on EVERY retirement — run, failed, or skipped — so it doubles
+  // as the watchdog's progress probe (a cancelling graph draining is
+  // visibly making progress).  Release order: the taskwait'er acquiring
+  // this stripe must see the body's side effects.
+  bumpOwned(slots_[cpu].retired, +1, std::memory_order_release);
 }
 
 void Runtime::readyThunk(void* ctx, DepTask* task, std::size_t cpu) {
@@ -407,7 +405,7 @@ void Runtime::drainAndHelp() {
   // collected TaskStart/End totals) but not in any ThreadTraceStats —
   // worker tasksExecuted summing below the spawn count is expected.
   SpinWait waiter;
-  while (inFlight_.load(std::memory_order_acquire) != 0) {
+  while (tasksInFlight() != 0) {
     Task* task = sched_->getReadyTask(cpu);
     if (task != nullptr) {
       waiter.reset();
@@ -445,6 +443,18 @@ void Runtime::cancel() {
     config_.tracer->emit(callerCpu(), TraceEvent::GraphCancelled, 1);
 }
 
+std::uint64_t Runtime::tasksInFlight() const {
+  // Retired first, with acquire; spawned second.  Reversing the order
+  // would let a task spawned and retired between the two passes count
+  // as retired but not spawned, and hide a live sibling.
+  const std::uint64_t retired = tasksRetired();
+  std::int64_t sum = 0;
+  for (std::size_t i = 0; i <= config_.topo.numCpus; ++i)
+    sum += slots_[i].spawned.load(std::memory_order_relaxed);
+  const auto spawned = static_cast<std::uint64_t>(sum);
+  return spawned > retired ? spawned - retired : 0;
+}
+
 void Runtime::quiesce() {
   // Forgetting the chains drops the deps layer's lastWrite references —
   // the only ones that can outlive their task's completion — so after
@@ -466,23 +476,30 @@ std::string Runtime::watchdogReport() const {
   out += line;
   std::snprintf(
       line, sizeof(line),
-      "  inFlight=%zu retired=%llu failed=%llu skipped=%llu cancelled=%d "
+      "  inFlight=%llu retired=%llu failed=%llu skipped=%llu cancelled=%d "
       "liveDescriptors=%zu\n",
-      inFlight_.load(std::memory_order_relaxed),
-      static_cast<unsigned long long>(
-          retired_.load(std::memory_order_relaxed)),
+      static_cast<unsigned long long>(tasksInFlight()),
+      static_cast<unsigned long long>(tasksRetired()),
       static_cast<unsigned long long>(graph_.tasksFailed()),
       static_cast<unsigned long long>(graph_.tasksSkipped()),
       graph_.cancelled() ? 1 : 0, liveDescriptors());
   out += line;
-  out += "  per-slot descriptor deltas:";
+  // One line per slot (the last is the spawner's): spawned and retired
+  // show where work entered and left, the descriptor delta where it is
+  // still held.
   for (std::size_t i = 0; i <= config_.topo.numCpus; ++i) {
-    std::snprintf(line, sizeof(line), " %lld",
+    const SlotCounters& slot = slots_[i];
+    std::snprintf(line, sizeof(line),
+                  "  slot %zu: spawned=%lld retired=%lld descriptors=%lld\n",
+                  i,
                   static_cast<long long>(
-                      descriptorDelta_[i].v.load(std::memory_order_relaxed)));
+                      slot.spawned.load(std::memory_order_relaxed)),
+                  static_cast<long long>(
+                      slot.retired.load(std::memory_order_relaxed)),
+                  static_cast<long long>(
+                      slot.descriptors.load(std::memory_order_relaxed)));
     out += line;
   }
-  out += "\n";
   return out;
 }
 

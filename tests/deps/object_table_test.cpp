@@ -167,6 +167,29 @@ TEST(ObjectTableTest, InvalidateForcesReprobeButKeepsEntries) {
   EXPECT_EQ(rewarmed.hits, afterInvalidate.hits + 1);
 }
 
+TEST(ObjectTableTest, AdjacentDoublesDoNotEvictEachOtherInTheThreadCache) {
+  // Adjacent 8-byte scalars are the smallest dependency objects the apps
+  // register.  If the address mixer dropped their distinguishing bit,
+  // each pair would share one direct-mapped slot and evict each other
+  // on every pass, so the warm hit rate would collapse to zero.
+  constexpr std::size_t kObjects = 64;
+  constexpr int kWarmPasses = 20;
+  ObjectTable<Payload> table;
+  std::vector<double> objects(kObjects);
+  for (double& object : objects) table.lookupOrCreate(&object);
+
+  const auto before = objectTableThreadCacheCounters();
+  for (int pass = 0; pass < kWarmPasses; ++pass) {
+    for (double& object : objects) table.lookupOrCreate(&object);
+  }
+  const auto after = objectTableThreadCacheCounters();
+  const std::uint64_t hits = after.hits - before.hits;
+  const std::uint64_t lookups = hits + (after.misses - before.misses);
+  ASSERT_EQ(lookups, kObjects * kWarmPasses);
+  EXPECT_GE(hits * 100, lookups * 99)
+      << hits << " warm hits out of " << lookups << " lookups";
+}
+
 TEST(ObjectTableTest, TwoTablesNeverAliasInTheSharedThreadCache) {
   // The TLS cache is shared by every table in the process; the epoch
   // stamp is what keeps one table's entries from answering another's

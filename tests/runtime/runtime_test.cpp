@@ -148,6 +148,68 @@ TEST_P(RuntimeMatrixTest, ReadFanNeverObservesTornWriter) {
   EXPECT_EQ(pair.b, kRounds);
 }
 
+TEST_P(RuntimeMatrixTest, TaskBodiesSpawningChildrenAreAllAwaited) {
+  // taskwait reads quiescence from per-slot spawned/retired stripes, and
+  // its no-false-zero argument rests on this shape: a task spawned from
+  // a body is counted before that body's task retires.  An early return
+  // would leave some descendant unrun when the checks below look.  Each
+  // generator's children also chain through an inout on a per-generator
+  // counter, so dependency registration from worker threads is checked
+  // for order too.
+  constexpr int kBatches = 50;
+  constexpr int kGenerators = 8;
+  constexpr int kChildren = 12;
+  constexpr int kGrandchildEvery = 3;
+  constexpr int kGrandchildren = 2;
+  constexpr int kPerGenerator =
+      1 + kChildren + (kChildren / kGrandchildEvery) * kGrandchildren;
+  constexpr int kTotal = kGenerators * kPerGenerator;
+  const auto [deps, sched, usePool] = GetParam();
+  Runtime rt(testConfig(deps, sched, 8, usePool));
+
+  for (int batch = 0; batch < kBatches; ++batch) {
+    // Task index layout per generator: itself, its children, then the
+    // grandchildren of every kGrandchildEvery-th child.
+    std::vector<std::atomic<int>> ran(kTotal);
+    std::vector<long long> chain(kGenerators, 0);
+    const std::uint64_t retiredBefore = rt.tasksRetired();
+    for (int g = 0; g < kGenerators; ++g) {
+      rt.spawn({}, [&rt, &ran, &chain, g] {
+        const int base = g * kPerGenerator;
+        ran[static_cast<std::size_t>(base)].fetch_add(1);
+        for (int c = 0; c < kChildren; ++c) {
+          long long& link = chain[static_cast<std::size_t>(g)];
+          rt.spawn({inout(link)}, [&rt, &ran, &link, base, c] {
+            ran[static_cast<std::size_t>(base + 1 + c)].fetch_add(1);
+            ++link;
+            if (c % kGrandchildEvery != 0) return;
+            const int first = base + 1 + kChildren +
+                              (c / kGrandchildEvery) * kGrandchildren;
+            for (int k = 0; k < kGrandchildren; ++k) {
+              rt.spawn({}, [&ran, index = first + k] {
+                ran[static_cast<std::size_t>(index)].fetch_add(1);
+              });
+            }
+          });
+        }
+      });
+    }
+    rt.taskwait();
+
+    for (int i = 0; i < kTotal; ++i) {
+      ASSERT_EQ(ran[static_cast<std::size_t>(i)].load(), 1)
+          << "task " << i << " in batch " << batch
+          << " ran zero or multiple times before taskwait returned";
+    }
+    for (int g = 0; g < kGenerators; ++g)
+      ASSERT_EQ(chain[static_cast<std::size_t>(g)], kChildren);
+    ASSERT_EQ(rt.tasksRetired() - retiredBefore,
+              static_cast<std::uint64_t>(kTotal))
+        << "batch " << batch;
+    ASSERT_EQ(rt.liveDescriptors(), 0u) << "batch " << batch;
+  }
+}
+
 /// The scheduler-tuning dimension of the ISSUE-5 batched-serve work:
 /// every PolicyKind crossed with batch-vs-serve-one delegation, on the
 /// optimized SyncDelegation/WaitFreeAsm runtime under 8 workers.  The
