@@ -8,8 +8,7 @@
 //    (§3.1: "can be configured from a single one to one per core")
 //  * scheduling policy plugged into the SyncScheduler (FIFO / LIFO /
 //    NUMA-aware FIFO): the §3.2 extensibility argument, measured
-//  * serve-one delegation (Listing 5) vs the §8 flat-combining batch
-//    serve
+//  * the scheduler design itself on identical deps/alloc
 //
 // Each configuration runs the same fine-grained chain workload through
 // the full runtime; items/sec = tasks executed per second.
@@ -92,31 +91,6 @@ BENCHMARK(BM_SchedulerKind)
     ->Arg(int(SchedulerKind::PTLockCentral))
     ->Arg(int(SchedulerKind::WorkStealing))
     ->Arg(int(SchedulerKind::CentralMutex))
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ServeMode(benchmark::State& state) {
-  // batch=0: Listing-5 serve-one; batch=1: §8 flat-combining batched
-  // serve (the default).  The contended chain workload is where the
-  // batch pays: every worker delegates continuously while the chain
-  // serializes execution.  Expect batch >= serve-one (within noise on
-  // 1-core hosts; see EXPERIMENTS.md).
-  RuntimeConfig cfg = optimizedConfig(makeTopology(MachinePreset::Host,
-                                                   kThreads));
-  cfg.schedBatchServe = state.range(0) != 0;
-  runWorkload(state, cfg);
-}
-BENCHMARK(BM_ServeMode)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_ServeBurst(benchmark::State& state) {
-  // Burst-cap sweep for the batched serve: 1 degenerates to serve-one
-  // cost plus the snapshot, 64 is kMaxServeBurst.
-  RuntimeConfig cfg = optimizedConfig(makeTopology(MachinePreset::Host,
-                                                   kThreads));
-  cfg.serveBurst = static_cast<std::size_t>(state.range(0));
-  runWorkload(state, cfg);
-}
-BENCHMARK(BM_ServeBurst)
-    ->Arg(1)->Arg(4)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

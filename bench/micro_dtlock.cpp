@@ -11,9 +11,7 @@
 //                   serially by the creator (the "serial insertion" base)
 //   ptlock        — PTLock-protected central scheduler ("w/o DTLock")
 //   dtlock_spsc   — SPSC add-buffers + DTLock delegation with the §8
-//                   flat-combining batched serve (the optimized default)
-//   dtlock_spsc_serve1 — same scheduler, Listing-5 serve-one ablation
-//                   (the pre-batching baseline; keep >= its old numbers)
+//                   flat-combining batched serve
 //
 // On a many-core host the ratios should approach the paper's 4x / 12x;
 // on a timeshared single-core host the gaps compress (EXPERIMENTS.md).
@@ -81,18 +79,10 @@ void BM_Sched_DTLockSpsc(benchmark::State& state) {
   schedulerFlood(state, sched, pool);
 }
 
-void BM_Sched_DTLockSpscServe1(benchmark::State& state) {
-  static SyncScheduler sched(benchTopo(), std::make_unique<FifoPolicy>(),
-                             SyncScheduler::Options{.batchServe = false});
-  static std::vector<Task> pool(4096);
-  schedulerFlood(state, sched, pool);
-}
-
 }  // namespace
 
 BENCHMARK(BM_Sched_SerialMutex)->Threads(kConsumers + 1)->UseRealTime();
 BENCHMARK(BM_Sched_PTLock)->Threads(kConsumers + 1)->UseRealTime();
 BENCHMARK(BM_Sched_DTLockSpsc)->Threads(kConsumers + 1)->UseRealTime();
-BENCHMARK(BM_Sched_DTLockSpscServe1)->Threads(kConsumers + 1)->UseRealTime();
 
 BENCHMARK_MAIN();

@@ -1,36 +1,29 @@
-// The NUMA-locality hot-path claims, measured at the three layers the
+// The NUMA-locality hot-path claims, measured at the two layers the
 // domain sharding touches:
 //
 //  * AddBufferSet drain: a flat everything-pass over 128+1 Rome rings
 //    vs a drainDomain pass over the 16 rings that actually hold work —
 //    the cache-line-touch reduction the shards exist for
-//  * the full runtime with the batched serve grouping waiters by domain
-//    (schedWaiterLocality) vs the holder-locality ablation, NumaFifo
-//    policy on the Rome preset
 //  * pool depot churn with every thread on one shared shard vs each
 //    thread bound to its own domain shard — the depot-lock contention
 //    curve from 1 to 8 threads
 //
-// On a 1-core CI host the runtime pair compresses toward a tie (workers
-// time-slice one core, so locality cannot pay; see EXPERIMENTS.md
-// "micro_numa"); the drain and depot pairs keep their shape anywhere.
+// The drain pair is single-threaded and keeps its shape on any host;
+// the depot pair needs real cores for its contention curve (see
+// EXPERIMENTS.md "micro_numa").
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "memory/pool_allocator.hpp"
-#include "runtime/runtime.hpp"
+#include "runtime/task.hpp"
 #include "sched/add_buffer_set.hpp"
 #include "sched/policies.hpp"
 
 namespace {
 
 using namespace ats;
-
-constexpr std::size_t kWorkers = 4;
-constexpr int kBatch = 2000;
 
 // ------------------------------------------------ add-buffer drain pair
 //
@@ -76,39 +69,6 @@ void BM_AddBufferDrainOwnDomain(benchmark::State& state) {
   drainPair(state, /*sharded=*/true);
 }
 BENCHMARK(BM_AddBufferDrainOwnDomain);
-
-// ------------------------------------------- waiter-locality serve pair
-//
-// Full runtime on the Rome preset shrunk to 4 workers (still
-// multi-domain after makeTopology's shrink), NumaFifo policy so the
-// locality view actually routes: independent tasks, so every spawn
-// funnels through the batched serve and the knob is the only delta.
-
-void servePair(benchmark::State& state, bool waiterLocality) {
-  RuntimeConfig cfg = makeRomeConfig(kWorkers);
-  cfg.policy = PolicyKind::NumaFifo;
-  cfg.schedWaiterLocality = waiterLocality;
-  Runtime rt(cfg);
-  std::atomic<std::uint64_t> ran{0};
-  for (auto _ : state) {
-    for (int i = 0; i < kBatch; ++i) {
-      rt.spawn({}, [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-    rt.taskwait();
-  }
-  benchmark::DoNotOptimize(ran.load());
-  state.SetItemsProcessed(state.iterations() * kBatch);
-}
-
-void BM_ServeWaiterLocality(benchmark::State& state) {
-  servePair(state, /*waiterLocality=*/true);
-}
-BENCHMARK(BM_ServeWaiterLocality)->Unit(benchmark::kMillisecond);
-
-void BM_ServeHolderLocality(benchmark::State& state) {
-  servePair(state, /*waiterLocality=*/false);
-}
-BENCHMARK(BM_ServeHolderLocality)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------- depot contention pair
 //

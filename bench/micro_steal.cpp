@@ -156,29 +156,6 @@ void BM_RuntimeChain_SyncDelegation(benchmark::State& state) {
 }
 BENCHMARK(BM_RuntimeChain_SyncDelegation)->Unit(benchmark::kMillisecond);
 
-// stealProbeLimit sweep on the independent-tasks shape: on a one-domain
-// topology the local list is always fully probed, so this knob only
-// bites on multi-domain presets — swept on the Rome shape.
-void BM_StealProbeLimit(benchmark::State& state) {
-  RuntimeConfig cfg =
-      optimizedConfig(makeTopology(MachinePreset::Rome, kThreads));
-  cfg.scheduler = SchedulerKind::WorkStealing;
-  cfg.stealProbeLimit = static_cast<std::size_t>(state.range(0));
-  Runtime rt(cfg);
-  std::atomic<std::uint64_t> ran{0};
-  for (auto _ : state) {
-    for (int i = 0; i < kBatch; ++i) {
-      rt.spawn({}, [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    }
-    rt.taskwait();
-  }
-  benchmark::DoNotOptimize(ran.load());
-  state.SetItemsProcessed(state.iterations() * kBatch);
-}
-BENCHMARK(BM_StealProbeLimit)
-    ->Arg(1)->Arg(4)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -13,7 +13,7 @@ namespace ats {
 enum class TraceEvent : std::uint16_t {
   TaskStart = 1,       ///< payload: task descriptor address
   TaskEnd = 2,         ///< payload: task descriptor address
-  SchedServe = 3,      ///< lock holder answered delegated waiters; payload: packed local/remote hand-off counts (packServePayload below; serve-one mode emits per hand-off with local=1).  Format v3 — v2 stored one flat count.
+  SchedServe = 3,      ///< lock holder answered delegated waiters; payload: packed local/remote hand-off counts (packServePayload below).  Format v3 — v2 stored one flat count.
   SchedDrain = 4,      ///< add-buffers drained into the policy; payload: tasks moved
   SchedLockContended = 5,  ///< an ADD found the central lock busy; payload: CPU
   WorkerIdleBegin = 6,     ///< first empty poll of an idle streak

@@ -278,17 +278,14 @@ class PTLock {
 ///     holder served it — `item` carries the posted result and the caller
 ///     must NOT unlock.
 ///
-/// Holder-side protocol between lock acquisition and `unlock()` — two
-/// interchangeable forms:
-///   * serve-one (Listing 5):    while (popWaiter(cpu)) serve(result);
-///   * batched (§8 flat combining):
-///       while ((n = popWaiters(cpus, maxN)) != 0)
-///         serveBatch(cpus, results, n);
-/// The batched form snapshots a run of queued requests in one pass over
-/// the request array and publishes every answer behind a single release
-/// fence, instead of paying one acquire probe of `next_` plus one
-/// release store per waiter.  Both forms may be mixed freely; `served_`
-/// advances identically.
+/// Holder-side protocol between lock acquisition and `unlock()` (§8 flat
+/// combining):
+///     while ((n = popWaiters(cpus, maxN)) != 0)
+///       serveBatch(cpus, results, n);
+/// It snapshots a run of queued requests in one pass over the request
+/// array and publishes every answer behind a single release fence,
+/// instead of paying one acquire probe of `next_` plus one release store
+/// per waiter as Listing 5's serve-one loop does.
 ///
 /// Results travel through a slot owned by the requesting CPU, not by the
 /// ticket.  That distinction is load-bearing: a served waiter applies no
@@ -368,38 +365,14 @@ class DTLock {
     }
   }
 
-  /// Holder only: is the next queued waiter a published delegation
-  /// request?  If so report its CPU and keep it pending for `serve`.
-  /// Stops (returns false) at the first waiter that wants the lock
-  /// itself, or when nobody is waiting.
-  bool popWaiter(std::uint64_t& cpu) {
-    const std::uint64_t ticket = held_ + served_ + 1;
-    if (ticket == next_.load(std::memory_order_acquire)) return false;
-    const std::uint64_t req =
-        requests_[ticket & mask_].v.load(std::memory_order_acquire);
-    if ((req >> kCpuBits) != ticket) return false;  // wants the lock
-    cpu = req & ((std::uint64_t{1} << kCpuBits) - 1);
-    pendingCpu_ = cpu;
-    return true;
-  }
-
-  /// Holder only: complete the waiter `popWaiter` just reported by
-  /// posting `item` into its CPU slot.  The waiter never owns the lock.
-  void serve(std::uintptr_t item) {
-    assert(item != kPendingResult);
-    results_[pendingCpu_].v.store(item, std::memory_order_release);
-    ++served_;
-  }
-
   /// Holder only: snapshot the run of consecutive delegation requests at
   /// the head of the queue — up to `maxN` of them — into `cpus` in ticket
-  /// order.  One acquire read of `next_` bounds the whole pass (vs one
-  /// per popWaiter round-trip); each request slot still needs its own
-  /// acquire load, because that is the edge that makes the waiter's
-  /// armed result slot visible.  Stops early at the first waiter that
-  /// wants the lock itself (or has not published yet).  Does NOT consume:
-  /// repeated calls re-report the same run until `serveBatch`/`serve`
-  /// advances past it.
+  /// order.  One acquire read of `next_` bounds the whole pass; each
+  /// request slot still needs its own acquire load, because that is the
+  /// edge that makes the waiter's armed result slot visible.  Stops early
+  /// at the first waiter that wants the lock itself (or has not
+  /// published yet).  Does NOT consume: repeated calls re-report the same
+  /// run until `serveBatch` advances past it.
   std::size_t popWaiters(std::uint64_t* cpus, std::size_t maxN) {
     const std::uint64_t limit = next_.load(std::memory_order_acquire);
     std::uint64_t ticket = held_ + served_ + 1;
@@ -502,7 +475,6 @@ class DTLock {
   // release/acquire chain.
   std::uint64_t held_ = 0;
   std::uint64_t served_ = 0;
-  std::uint64_t pendingCpu_ = 0;
 };
 
 }  // namespace ats

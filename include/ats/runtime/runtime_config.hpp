@@ -45,34 +45,11 @@ struct RuntimeConfig {
   /// extensibility, micro_ablation's BM_Policy sweep).
   PolicyKind policy = PolicyKind::Fifo;
 
-  /// Flat-combining batched delegation serve (§8) — the optimized
-  /// configuration and the default; false selects the Listing-5
-  /// serve-one baseline (micro_ablation's BM_ServeMode ablation).
-  bool schedBatchServe = true;
-
-  /// Most delegated waiters answered per combining batch (clamped to
-  /// SyncScheduler::kMaxServeBurst).
-  std::size_t serveBurst = 16;
-
-  /// SyncDelegation batched serve groups popped waiters by NUMA domain
-  /// and pulls each group's tasks with the group's own locality view,
-  /// draining the waiters'-domain add-buffer shards first; false
-  /// restores holder-locality pulls + flat drains (micro_numa's
-  /// ablation baseline).  No effect on serve-one or other schedulers.
-  bool schedWaiterLocality = true;
-
   /// Slots in each per-CPU SPSC add-buffer (SyncDelegation and
   /// PTLockCentral), and the initial per-CPU deque capacity under
   /// WorkStealing (same "per-CPU buffer" knob; the deque grows past it).
   /// Reconciled name — older code and docs said `addBufferCapacity`.
   std::size_t spscCapacity = 256;
-
-  /// WorkStealing only: most REMOTE-NUMA-domain victims one empty poll
-  /// probes (the local domain is always probed in full).  Threaded the
-  /// same way serveBurst is for SyncDelegation.  Default mirrors
-  /// WorkStealingSchedulerOptions::kDefaultStealProbeLimit (this header
-  /// stays light, so the constant is not included here).
-  std::size_t stealProbeLimit = 64;
 
   /// Stall watchdog (failure domains): 0 disables; a positive value
   /// starts one monitor thread per Runtime that fires when tasks are in

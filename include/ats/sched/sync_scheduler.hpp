@@ -9,73 +9,43 @@
 
 namespace ats {
 
-/// SyncScheduler's construction-time knobs; mirrored by RuntimeConfig
-/// and swept by micro_ablation.  (Namespace-scope rather than nested:
-/// a nested aggregate's member initializers cannot feed a default
-/// argument of the enclosing class under GCC.)
-struct SyncSchedulerOptions {
-  /// §3.1: "can be configured from a single one to one per core".  The
-  /// paper's Listing 5 hardcodes 100; we default to the next power of
-  /// two up.  micro_ablation sweeps this.
-  static constexpr std::size_t kDefaultSpscCapacity = 256;
-  /// Most waiters a single combining batch answers.  Also the burst's
-  /// policy-pull bound, and the stack-array size the serve loop uses —
-  /// more waiters than this simply take another batch within the same
-  /// lock hold.
-  static constexpr std::size_t kDefaultServeBurst = 16;
-  static constexpr std::size_t kMaxServeBurst = 64;
-
-  std::size_t spscCapacity = kDefaultSpscCapacity;
-  bool batchServe = true;  ///< false = serve-one ablation baseline
-  std::size_t serveBurst = kDefaultServeBurst;  ///< clamped to kMaxServeBurst
-  /// Batched serve groups the popped waiters by NUMA domain and pulls
-  /// each group's tasks with the GROUP's own locality view, preferring
-  /// the waiters'-domain add-buffer shards when refilling; false
-  /// restores the PR-5 holder-locality pull and flat drains —
-  /// micro_numa's ablation baseline.  Serve-one mode ignores it (that
-  /// path always pulls per-waiter).
-  bool waiterLocality = true;
-};
-
 /// The paper's scheduler (§3): per-CPU wait-free SPSC add-buffers in
 /// front of a single policy object, everything serialized by a DTLock.
 ///
 ///   * addReadyTask: push into the caller CPU's own SPSC buffer — no
 ///     shared-lock traffic at all on the common path.  When the buffer is
-///     full, the caller takes the DTLock itself, drains every buffer into
-///     the policy, and serves any queued delegation requests while it is
-///     there (the overflow "help-drain" protocol).
+///     full, the caller takes the DTLock itself, drains its domain's
+///     buffers into the policy, and serves any queued delegation requests
+///     while it is there (the overflow "help-drain" protocol).
 ///   * getReadyTask: `lockOrDelegate`.  Usually some other thread already
 ///     holds the lock and simply hands a task back; the waiter never owns
 ///     the lock, never drains, never touches the policy's cache lines.
 ///     Whichever thread does hold the lock drains the add-buffers, takes
 ///     its own task, and serves the delegation queue before releasing.
 ///
-/// Serving runs in one of two modes, fixed at construction
-/// (micro_ablation's BM_ServeMode):
-///   * batched (default, §8 flat combining): the holder snapshots a run
-///     of queued requests with one `popWaiters` pass, pulls up to
-///     `serveBurst` tasks from the policy in one `getTasks` call, and
-///     publishes every answer behind a single release fence
-///     (`serveBatch`).  Add-buffers are refilled at most once per
-///     combining burst.
-///   * serve-one (Listing 5, the ablation baseline): one policy lookup
-///     and one release store per popped waiter.
+/// Serving is the §8 flat-combining batch: the holder snapshots a run of
+/// queued requests with one `popWaiters` pass, groups the waiters by NUMA
+/// domain, pulls each group's tasks with one `getTasks` call from that
+/// group's own locality view, and publishes every answer behind a single
+/// release fence (`serveBatch`).  Add-buffers are refilled flat at most
+/// once per lock hold.
 class SyncScheduler final : public Scheduler {
  public:
-  using Options = SyncSchedulerOptions;
-  static constexpr std::size_t kDefaultSpscCapacity =
-      Options::kDefaultSpscCapacity;
-  static constexpr std::size_t kDefaultServeBurst =
-      Options::kDefaultServeBurst;
-  static constexpr std::size_t kMaxServeBurst = Options::kMaxServeBurst;
+  /// Most waiters a single combining batch answers.  Also bounds each
+  /// group's add-buffer shard top-up, and sizes the serve loop's stack
+  /// arrays — more waiters than this simply take another batch within
+  /// the same lock hold.
+  static constexpr std::size_t kServeBurst = 16;
 
+  /// §3.1: "can be configured from a single one to one per core".  The
+  /// paper's Listing 5 hardcodes 100 add-buffer slots; we default to the
+  /// next power of two up.  micro_ablation sweeps it.
+  ///
   /// Traced variant emits SchedDrain per non-empty add-buffer drain and
-  /// one SchedServe per serve burst with the packed local/remote
-  /// hand-off counts as payload (trace_event.hpp's packServePayload;
-  /// serve-one mode emits per hand-off, local count 1).
+  /// one SchedServe per serve batch with the packed local/remote
+  /// hand-off counts as payload (trace_event.hpp's packServePayload).
   SyncScheduler(Topology topo, std::unique_ptr<SchedulerPolicy> policy,
-                Options options = {}, Tracer* tracer = nullptr);
+                std::size_t spscCapacity = 256, Tracer* tracer = nullptr);
 
   void addReadyTask(Task* task, std::size_t cpu) override;
   Task* getReadyTask(std::size_t cpu) override;
@@ -86,16 +56,11 @@ class SyncScheduler final : public Scheduler {
   /// Answer queued getReadyTask delegations.  Caller must hold lock_;
   /// `cpu` is the holder's slot (trace emissions go into its stream).
   void serveWaiters(std::size_t cpu);
-  void serveWaitersBatched(std::size_t cpu, std::size_t maxServes);
-  void serveWaitersOneByOne(std::size_t cpu, std::size_t maxServes);
 
   Topology topo_;
   DTLock lock_;
   std::unique_ptr<SchedulerPolicy> policy_;
   AddBufferSet addBuffers_;
-  const bool batchServe_;
-  const std::size_t serveBurst_;
-  const bool waiterLocality_;
 };
 
 }  // namespace ats

@@ -10,25 +10,6 @@
 
 namespace ats {
 
-/// WorkStealingScheduler's construction-time knobs; mirrored by
-/// RuntimeConfig and swept by micro_steal.  (Namespace-scope rather than
-/// nested for the same GCC default-argument reason as
-/// SyncSchedulerOptions.)
-struct WorkStealingSchedulerOptions {
-  /// Initial per-slot deque capacity; the deque grows past it on
-  /// demand, so unlike the SPSC schedulers there is no overflow
-  /// protocol to size against.  RuntimeConfig reuses `spscCapacity` for
-  /// this (it is the same "per-CPU buffer" knob).
-  static constexpr std::size_t kDefaultDequeCapacity = 256;
-  /// Most REMOTE-domain victims one getReadyTask call probes (the local
-  /// domain is always probed in full).  Clamped to at least 1 so remote
-  /// work can never become unreachable.
-  static constexpr std::size_t kDefaultStealProbeLimit = 64;
-
-  std::size_t dequeCapacity = kDefaultDequeCapacity;
-  std::size_t stealProbeLimit = kDefaultStealProbeLimit;
-};
-
 /// The LLVM-family architectural alternative (fig7-9's "llvm_like"
 /// curve), now a real design instead of a relabeled SyncScheduler: one
 /// Chase–Lev deque per CPU slot, no central lock, no shared policy
@@ -45,7 +26,7 @@ struct WorkStealingSchedulerOptions {
 ///     cache-warm — the same trade LifoPolicy prices); on empty, steal
 ///     FIFO from victims, every same-NUMA-domain slot first (Topology's
 ///     domain map, the way NumaFifoPolicy uses it), then remote slots
-///     round-robin behind a rotating cursor, at most `stealProbeLimit`
+///     round-robin behind a rotating cursor, at most `kStealProbeLimit`
 ///     remote probes per call before reporting empty.  A steal CAS lost
 ///     to a competitor retries the same victim: an abort means someone
 ///     else just removed an element, so the retry loop is progress-
@@ -65,19 +46,21 @@ struct WorkStealingSchedulerOptions {
 /// design exists to demonstrate.
 class WorkStealingScheduler final : public Scheduler {
  public:
-  using Options = WorkStealingSchedulerOptions;
+  /// Most REMOTE-domain victims one getReadyTask call probes (the local
+  /// domain is always probed in full).
+  static constexpr std::size_t kStealProbeLimit = 64;
 
-  WorkStealingScheduler(Topology topo, Options options = {},
+  /// `dequeCapacity` is the initial per-slot deque capacity; the deque
+  /// grows past it on demand, so unlike the SPSC schedulers there is no
+  /// overflow protocol to size against.  RuntimeConfig passes
+  /// `spscCapacity` here (the same "per-CPU buffer" knob).
+  WorkStealingScheduler(Topology topo, std::size_t dequeCapacity = 256,
                         Tracer* tracer = nullptr);
 
   void addReadyTask(Task* task, std::size_t cpu) override;
   Task* getReadyTask(std::size_t cpu) override;
 
   const char* name() const override { return "work_steal"; }
-
-  /// Remote probe bound after construction-time clamping (micro_steal
-  /// labels and tests read it back).
-  std::size_t stealProbeLimit() const { return probeLimit_; }
 
  private:
   /// Steal from `victim` into `out`, retrying lost CASes, emitting
@@ -92,7 +75,6 @@ class WorkStealingScheduler final : public Scheduler {
   };
 
   Topology topo_;
-  std::size_t probeLimit_;
   std::vector<std::unique_ptr<ChaseLevDeque<Task*>>> deques_;
   std::unique_ptr<ProbeCursor[]> cursors_;
   /// victim slot indices per slot, precomputed at construction:

@@ -26,18 +26,10 @@ std::unique_ptr<Scheduler> makeScheduler(const RuntimeConfig& config) {
     case SchedulerKind::SyncDelegation:
       return std::make_unique<SyncScheduler>(
           config.topo, makePolicy(config.policy, config.topo),
-          SyncScheduler::Options{.spscCapacity = config.spscCapacity,
-                                 .batchServe = config.schedBatchServe,
-                                 .serveBurst = config.serveBurst,
-                                 .waiterLocality =
-                                     config.schedWaiterLocality},
-          config.tracer);
+          config.spscCapacity, config.tracer);
     case SchedulerKind::WorkStealing:
       return std::make_unique<WorkStealingScheduler>(
-          config.topo,
-          WorkStealingScheduler::Options{config.spscCapacity,
-                                         config.stealProbeLimit},
-          config.tracer);
+          config.topo, config.spscCapacity, config.tracer);
   }
   // A value outside the enum can only come from memory corruption or a
   // missed case after adding a kind.  Until PR 6 this path silently

@@ -10,8 +10,8 @@
 namespace ats {
 
 namespace {
-/// Cap on the own-domain burst drain in getReadyTask — same order as
-/// SyncScheduler's kMaxServeBurst, bounding work done per lock hold.
+/// Cap on the own-domain burst drain in getReadyTask, bounding work done
+/// per lock hold.
 constexpr std::size_t kLocalDrainBurst = 64;
 }  // namespace
 

@@ -8,16 +8,15 @@
 
 namespace ats {
 
-WorkStealingScheduler::WorkStealingScheduler(Topology topo, Options options,
+WorkStealingScheduler::WorkStealingScheduler(Topology topo,
+                                             std::size_t dequeCapacity,
                                              Tracer* tracer)
-    : Scheduler(tracer),
-      topo_(std::move(topo)),
-      probeLimit_(std::max<std::size_t>(1, options.stealProbeLimit)) {
+    : Scheduler(tracer), topo_(std::move(topo)) {
   const std::size_t slots = std::max<std::size_t>(1, topo_.slotCount());
   deques_.reserve(slots);
   for (std::size_t s = 0; s < slots; ++s) {
     deques_.push_back(
-        std::make_unique<ChaseLevDeque<Task*>>(options.dequeCapacity));
+        std::make_unique<ChaseLevDeque<Task*>>(dequeCapacity));
   }
   cursors_ = std::make_unique<ProbeCursor[]>(slots);
 
@@ -62,13 +61,13 @@ Task* WorkStealingScheduler::getReadyTask(std::size_t cpu) {
     if (stealFrom(victim, cpu, task)) return task;
   }
 
-  // Remote domains: at most probeLimit_ probes behind a rotating
+  // Remote domains: at most kStealProbeLimit probes behind a rotating
   // cursor.  The rotation is what makes the bound safe — every remote
-  // victim is reached within ceil(remotes/probeLimit_) calls, so a
+  // victim is reached within ceil(remotes/kStealProbeLimit) calls, so a
   // bounded probe delays remote work instead of stranding it.
   const std::vector<std::uint32_t>& remotes = remoteVictims_[cpu];
   if (remotes.empty()) return nullptr;
-  const std::size_t probes = std::min(probeLimit_, remotes.size());
+  const std::size_t probes = std::min(kStealProbeLimit, remotes.size());
   const std::size_t start = cursors_[cpu].next % remotes.size();
   for (std::size_t i = 0; i < probes; ++i) {
     const std::size_t idx = (start + i) % remotes.size();

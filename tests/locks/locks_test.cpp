@@ -121,15 +121,15 @@ TEST(Locks, PTLockMixedLockAndTryLockContendedIncrement) {
 TEST(Locks, DTLockSingleThreadServeProtocol) {
   DTLock lock(8);
   lock.lock();
-  std::uint64_t cpu = 99;
-  EXPECT_FALSE(lock.popWaiter(cpu));  // nobody queued
+  std::uint64_t cpus[4] = {};
+  EXPECT_EQ(lock.popWaiters(cpus, 4), 0u);  // nobody queued
   lock.unlock();
 
   // Re-acquire through the delegating entry point with no holder: the
-  // caller must get the lock, not a delegation.
+  // caller must get the lock, not a delegation, so nothing is queued.
   std::uintptr_t item = 0;
   EXPECT_TRUE(lock.lockOrDelegate(3, item));
-  EXPECT_FALSE(lock.popWaiter(cpu));
+  EXPECT_EQ(lock.popWaiters(cpus, 4), 0u);
   lock.unlock();
 }
 
@@ -186,12 +186,13 @@ TEST(Locks, DTLockPopWaitersSnapshotsAndServesInTicketOrder) {
   }
 }
 
-/// Batched analogue of DTLockDelegationDeliversExactlyOnce, under the
-/// §3.2 8-thread stress shape: the holder mints numbers for itself and
-/// answers queued waiters through popWaiters/serveBatch with a snapshot
-/// cap of 3 — far below the contender count, so batch boundaries land
-/// mid-queue constantly and served waiters requeue while the holder is
-/// still serving.  Exactly-once delivery = the multiset is 1..N.
+/// Mirrors the SyncScheduler usage under the §3.2 8-thread stress shape:
+/// every thread asks for "the next ticket number" via delegation.  The
+/// holder mints numbers for itself and answers queued waiters through
+/// popWaiters/serveBatch with a snapshot cap of 3 — far below the
+/// contender count, so batch boundaries land mid-queue constantly and
+/// served waiters requeue while the holder is still serving.  Mutual
+/// exclusion and exactly-once delivery = the multiset is 1..N.
 TEST(Locks, DTLockBatchedServeDeliversExactlyOnce) {
   constexpr int kOps = 2000;
   constexpr std::size_t kBatchCap = 3;
@@ -232,102 +233,6 @@ TEST(Locks, DTLockBatchedServeDeliversExactlyOnce) {
   std::sort(all.begin(), all.end());
   for (std::size_t i = 0; i < all.size(); ++i) {
     ASSERT_EQ(all[i], i + 1) << "batched delegation lost or duplicated";
-  }
-  EXPECT_EQ(counter, static_cast<std::uint64_t>(kThreads) * kOps);
-}
-
-/// Serve-one and batched serving interleave on the same lock: both
-/// advance `served_` identically, so a holder may mix them freely.
-TEST(Locks, DTLockMixedServeOneAndBatchDeliversExactlyOnce) {
-  constexpr int kOps = 1500;
-  DTLock lock(64);
-  std::uint64_t counter = 0;
-  std::vector<std::vector<std::uintptr_t>> got(kThreads);
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      auto& mine = got[static_cast<std::size_t>(t)];
-      std::uint64_t cpus[2];
-      std::uintptr_t items[2];
-      bool batchTurn = (t % 2) == 0;
-      while (mine.size() < static_cast<std::size_t>(kOps)) {
-        std::uintptr_t item = 0;
-        if (lock.lockOrDelegate(static_cast<std::uint64_t>(t), item)) {
-          mine.push_back(++counter);
-          for (;;) {
-            if (batchTurn) {
-              const std::size_t n = lock.popWaiters(cpus, 2);
-              if (n == 0) break;
-              for (std::size_t i = 0; i < n; ++i) {
-                items[i] = static_cast<std::uintptr_t>(++counter);
-              }
-              lock.serveBatch(cpus, items, n);
-            } else {
-              std::uint64_t waiterCpu = 0;
-              if (!lock.popWaiter(waiterCpu)) break;
-              lock.serve(static_cast<std::uintptr_t>(++counter));
-            }
-            batchTurn = !batchTurn;  // alternate WITHIN one lock hold too
-          }
-          lock.unlock();
-        } else {
-          mine.push_back(item);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  std::vector<std::uintptr_t> all;
-  for (const auto& v : got) all.insert(all.end(), v.begin(), v.end());
-  ASSERT_EQ(all.size(), static_cast<std::size_t>(kThreads) * kOps);
-  std::sort(all.begin(), all.end());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    ASSERT_EQ(all[i], i + 1) << "mixed-mode serving lost or duplicated";
-  }
-}
-
-/// Mirrors the SyncScheduler usage: every thread asks for "the next
-/// ticket number" via delegation.  Whoever holds the lock mints numbers
-/// for itself and for every queued waiter.  Mutual exclusion and exactly-
-/// once delivery show up as the delivered multiset being 1..N with no
-/// gaps or duplicates.
-TEST(Locks, DTLockDelegationDeliversExactlyOnce) {
-  constexpr int kOps = 2000;
-  DTLock lock(64);
-  std::uint64_t counter = 0;  // guarded by lock
-  std::vector<std::vector<std::uintptr_t>> got(kThreads);
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      auto& mine = got[static_cast<std::size_t>(t)];
-      while (mine.size() < static_cast<std::size_t>(kOps)) {
-        std::uintptr_t item = 0;
-        if (lock.lockOrDelegate(static_cast<std::uint64_t>(t), item)) {
-          mine.push_back(++counter);  // holder serves itself...
-          std::uint64_t waiterCpu = 0;
-          while (lock.popWaiter(waiterCpu)) {  // ...and everyone queued
-            lock.serve(static_cast<std::uintptr_t>(++counter));
-          }
-          lock.unlock();
-        } else {
-          mine.push_back(item);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  std::vector<std::uintptr_t> all;
-  for (const auto& v : got) all.insert(all.end(), v.begin(), v.end());
-  ASSERT_EQ(all.size(), static_cast<std::size_t>(kThreads) * kOps);
-  std::sort(all.begin(), all.end());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    ASSERT_EQ(all[i], i + 1) << "delegation lost or duplicated a value";
   }
   EXPECT_EQ(counter, static_cast<std::uint64_t>(kThreads) * kOps);
 }

@@ -210,113 +210,46 @@ TEST_P(RuntimeMatrixTest, TaskBodiesSpawningChildrenAreAllAwaited) {
   }
 }
 
-/// The scheduler-tuning dimension of the ISSUE-5 batched-serve work:
-/// every PolicyKind crossed with batch-vs-serve-one delegation, on the
-/// optimized SyncDelegation/WaitFreeAsm runtime under 8 workers.  The
-/// conservation and ordering laws must be knob-independent.
-using Tuning = std::tuple<PolicyKind, bool>;
+/// The SyncDelegation scheduler's policy and topology dimensions: every
+/// PolicyKind on the one-domain Host shape and on the Rome preset (8
+/// domains at full width, several at 8 workers), on the optimized
+/// WaitFreeAsm runtime under 8 workers.  The domain-grouped batched
+/// serve must keep the conservation and ordering laws whatever the
+/// policy and however many domains a popped batch spans.
+using SchedShape = std::tuple<MachinePreset, PolicyKind>;
 
-class SchedTuningMatrixTest : public ::testing::TestWithParam<Tuning> {};
+class SchedMatrixTest : public ::testing::TestWithParam<SchedShape> {};
 
 INSTANTIATE_TEST_SUITE_P(
-    Knobs, SchedTuningMatrixTest,
-    ::testing::Combine(::testing::Values(PolicyKind::Fifo, PolicyKind::Lifo,
-                                         PolicyKind::NumaFifo),
-                       ::testing::Bool()),
+    Shapes, SchedMatrixTest,
+    ::testing::Combine(::testing::Values(MachinePreset::Host,
+                                         MachinePreset::Rome),
+                       ::testing::Values(PolicyKind::Fifo, PolicyKind::Lifo,
+                                         PolicyKind::NumaFifo)),
     [](const auto& info) {
-      std::string name;
-      switch (std::get<0>(info.param)) {
-        case PolicyKind::Fifo: name = "Fifo"; break;
-        case PolicyKind::Lifo: name = "Lifo"; break;
-        case PolicyKind::NumaFifo: name = "NumaFifo"; break;
+      std::string name = std::get<0>(info.param) == MachinePreset::Host
+                             ? "Host_"
+                             : "Rome_";
+      switch (std::get<1>(info.param)) {
+        case PolicyKind::Fifo: return name + "Fifo";
+        case PolicyKind::Lifo: return name + "Lifo";
+        case PolicyKind::NumaFifo: return name + "NumaFifo";
       }
-      return name + (std::get<1>(info.param) ? "_BatchServe" : "_ServeOne");
+      return name + "Unknown";
     });
 
-TEST_P(SchedTuningMatrixTest, SpawnTaskwaitConservesEveryTaskExactlyOnce) {
-  constexpr int kTasks = 2000;
-  const auto [policy, batchServe] = GetParam();
-  RuntimeConfig config =
-      testConfig(DepsKind::WaitFreeAsm, SchedulerKind::SyncDelegation, 8);
+RuntimeConfig schedMatrixConfig(const SchedShape& shape) {
+  const auto [preset, policy] = shape;
+  RuntimeConfig config = optimizedConfig(makeTopology(preset, 8));
   config.policy = policy;
-  config.schedBatchServe = batchServe;
-  // Small buffers so the overflow help-drain path runs under every knob.
-  config.spscCapacity = 32;
-  Runtime rt(config);
-
-  std::vector<std::atomic<int>> ran(kTasks);
-  std::atomic<int> total{0};
-  for (int i = 0; i < kTasks; ++i) {
-    rt.spawn({}, [&ran, &total, i] {
-      ran[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
-      total.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  rt.taskwait();
-  EXPECT_EQ(total.load(), kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    ASSERT_EQ(ran[static_cast<std::size_t>(i)].load(), 1)
-        << "task " << i << " ran zero or multiple times";
-  }
+  return config;
 }
 
-TEST_P(SchedTuningMatrixTest, InoutChainStaysStrictlyOrdered) {
-  constexpr int kLinks = 300;
-  const auto [policy, batchServe] = GetParam();
-  RuntimeConfig config =
-      testConfig(DepsKind::WaitFreeAsm, SchedulerKind::SyncDelegation, 8);
-  config.policy = policy;
-  config.schedBatchServe = batchServe;
-  Runtime rt(config);
-
-  // Dependency order must override ANY ready-queue policy: the chain
-  // admits one ready task at a time, so even LIFO cannot reorder it —
-  // and TSan would flag overlap if a policy handed a task out twice.
-  long long counter = 0;
-  std::vector<long long> observed(kLinks, -1);
-  for (int i = 0; i < kLinks; ++i) {
-    rt.spawn({inout(counter)}, [&counter, &observed, i] {
-      observed[static_cast<std::size_t>(i)] = counter;
-      ++counter;
-    });
-  }
-  rt.taskwait();
-
-  EXPECT_EQ(counter, kLinks);
-  for (int i = 0; i < kLinks; ++i) {
-    ASSERT_EQ(observed[static_cast<std::size_t>(i)], i)
-        << "chain link " << i << " ran out of order";
-  }
-}
-
-/// The NUMA dimension of the ISSUE-7 waiter-locality work: the Rome
-/// preset (8 domains at full width, several at 8 workers) crossed with
-/// waiter-locality on/off and a plain-vs-NUMA policy, so the grouped
-/// serve path and its holder-locality ablation both keep the
-/// conservation and ordering laws on a genuinely multi-domain map.
-using NumaKnobs = std::tuple<PolicyKind, bool>;
-
-class NumaMatrixTest : public ::testing::TestWithParam<NumaKnobs> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Knobs, NumaMatrixTest,
-    ::testing::Combine(::testing::Values(PolicyKind::Fifo,
-                                         PolicyKind::NumaFifo),
-                       ::testing::Bool()),
-    [](const auto& info) {
-      std::string name =
-          std::get<0>(info.param) == PolicyKind::Fifo ? "Fifo" : "NumaFifo";
-      return name + (std::get<1>(info.param) ? "_WaiterLocality"
-                                             : "_HolderLocality");
-    });
-
-TEST_P(NumaMatrixTest, SpawnTaskwaitConservesEveryTaskExactlyOnce) {
+TEST_P(SchedMatrixTest, SpawnTaskwaitConservesEveryTaskExactlyOnce) {
   constexpr int kTasks = 2000;
-  const auto [policy, waiterLocality] = GetParam();
-  RuntimeConfig config = makeRomeConfig(8);
-  config.policy = policy;
-  config.schedWaiterLocality = waiterLocality;
-  // Small buffers so the domain-sharded overflow drain runs constantly.
+  RuntimeConfig config = schedMatrixConfig(GetParam());
+  // Small buffers so the (domain-sharded) overflow help-drain runs
+  // constantly.
   config.spscCapacity = 32;
   Runtime rt(config);
 
@@ -342,17 +275,16 @@ TEST_P(NumaMatrixTest, SpawnTaskwaitConservesEveryTaskExactlyOnce) {
   }
 }
 
-TEST_P(NumaMatrixTest, InoutChainStaysStrictlyOrdered) {
+TEST_P(SchedMatrixTest, InoutChainStaysStrictlyOrdered) {
   constexpr int kLinks = 300;
-  const auto [policy, waiterLocality] = GetParam();
-  RuntimeConfig config = makeRomeConfig(8);
-  config.policy = policy;
-  config.schedWaiterLocality = waiterLocality;
-  Runtime rt(config);
+  Runtime rt(schedMatrixConfig(GetParam()));
 
-  // Dependency order must survive the domain-grouped serve: a group
-  // being answered from its own domain's view must never let a link
-  // start before its predecessor's release publishes the chain.
+  // Dependency order must override ANY ready-queue policy and survive
+  // the domain-grouped serve: the chain admits one ready task at a time,
+  // so even LIFO cannot reorder it, and a group answered from its own
+  // domain's view must never let a link start before its predecessor's
+  // release publishes the chain.  TSan would flag overlap if a policy
+  // handed a task out twice.
   long long counter = 0;
   std::vector<long long> observed(kLinks, -1);
   for (int i = 0; i < kLinks; ++i) {
@@ -483,17 +415,9 @@ TEST(RuntimeConfigTest, MachinePresetConfigsShareConsistentDefaults) {
     EXPECT_EQ(config->deps, reference.deps);
     EXPECT_EQ(config->usePoolAllocator, reference.usePoolAllocator);
     EXPECT_EQ(config->policy, reference.policy);
-    EXPECT_EQ(config->schedBatchServe, reference.schedBatchServe);
-    EXPECT_EQ(config->serveBurst, reference.serveBurst);
-    EXPECT_EQ(config->schedWaiterLocality, reference.schedWaiterLocality);
     EXPECT_EQ(config->spscCapacity, reference.spscCapacity);
-    EXPECT_EQ(config->stealProbeLimit, reference.stealProbeLimit);
     EXPECT_EQ(config->tracer, reference.tracer);  // factories never attach one
   }
-  // The optimized configuration batches its delegation serving — batch
-  // serve IS the §8 optimization, not an opt-in.
-  EXPECT_TRUE(reference.schedBatchServe);
-  EXPECT_TRUE(reference.schedWaiterLocality);
   EXPECT_EQ(reference.policy, PolicyKind::Fifo);
   EXPECT_EQ(xeon.topo.preset, MachinePreset::Xeon);
   EXPECT_EQ(rome.topo.preset, MachinePreset::Rome);

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -32,33 +33,23 @@ std::unique_ptr<Scheduler> makeByName(const std::string& which,
     return std::make_unique<PTLockScheduler>(
         topo, std::make_unique<FifoPolicy>());
   if (which == "work_steal")
-    return std::make_unique<WorkStealingScheduler>(
-        topo, WorkStealingScheduler::Options{.dequeCapacity = spscCapacity});
+    return std::make_unique<WorkStealingScheduler>(topo, spscCapacity);
   // Rome-preset variants pin the multi-domain paths: `cpus` CPUs shrink
   // the 8-domain preset to one CPU per domain, so every waiter group and
   // add-buffer shard is its own domain and the NumaFifo policy's queues
-  // are maximally split.  "_holder" turns waiter-locality off (the PR-5
-  // holder-locality serve), so both sides of the micro_numa ablation
-  // keep the conservation and ordering laws.
-  if (which == "sync_dtlock_rome" || which == "sync_dtlock_rome_holder") {
+  // are maximally split.
+  if (which == "sync_dtlock_rome") {
     const Topology rome = makeTopology(MachinePreset::Rome, cpus);
     return std::make_unique<SyncScheduler>(
-        rome, std::make_unique<NumaFifoPolicy>(rome),
-        SyncScheduler::Options{.spscCapacity = spscCapacity,
-                               .waiterLocality =
-                                   which == "sync_dtlock_rome"});
+        rome, std::make_unique<NumaFifoPolicy>(rome), spscCapacity);
   }
   if (which == "ptlock_rome") {
     const Topology rome = makeTopology(MachinePreset::Rome, cpus);
     return std::make_unique<PTLockScheduler>(
         rome, std::make_unique<NumaFifoPolicy>(rome), spscCapacity);
   }
-  // "sync_dtlock" runs the batched (default) serve; "sync_dtlock_serve1"
-  // the Listing-5 serve-one ablation baseline.
   return std::make_unique<SyncScheduler>(
-      topo, std::make_unique<FifoPolicy>(),
-      SyncScheduler::Options{.spscCapacity = spscCapacity,
-                             .batchServe = which != "sync_dtlock_serve1"});
+      topo, std::make_unique<FifoPolicy>(), spscCapacity);
 }
 
 class EverySchedulerTest : public ::testing::TestWithParam<std::string> {};
@@ -67,9 +58,7 @@ INSTANTIATE_TEST_SUITE_P(Designs, EverySchedulerTest,
                          ::testing::Values("central_mutex", "ptlock",
                                            "ptlock_rome",
                                            "sync_dtlock",
-                                           "sync_dtlock_serve1",
                                            "sync_dtlock_rome",
-                                           "sync_dtlock_rome_holder",
                                            "work_steal"));
 
 TEST_P(EverySchedulerTest, EmptySchedulerReturnsNull) {
@@ -136,8 +125,7 @@ TEST(SyncSchedulerTest, OverflowDrainLosesNothingAndKeepsOrder) {
   // Buffer of 8 while 1000 tasks pour in from one thread with no
   // consumer: the overflow help-drain path runs ~125 times.
   auto sched = std::make_unique<SyncScheduler>(
-      testTopo(2), std::make_unique<FifoPolicy>(),
-      SyncScheduler::Options{.spscCapacity = 8});
+      testTopo(2), std::make_unique<FifoPolicy>(), 8);
   std::vector<Task> pool(1000);
   for (auto& t : pool) sched->addReadyTask(&t, 0);
   for (auto& t : pool) {
@@ -148,8 +136,7 @@ TEST(SyncSchedulerTest, OverflowDrainLosesNothingAndKeepsOrder) {
 
 TEST(SyncSchedulerTest, PerCpuBuffersDrainFromAnyGetter) {
   auto sched = std::make_unique<SyncScheduler>(
-      testTopo(4), std::make_unique<FifoPolicy>(),
-      SyncScheduler::Options{.spscCapacity = 64});
+      testTopo(4), std::make_unique<FifoPolicy>(), 64);
   std::vector<Task> pool(8);
   // Adds from several different CPUs sit in distinct SPSC buffers...
   for (std::size_t i = 0; i < pool.size(); ++i) {
@@ -167,29 +154,70 @@ TEST(SyncSchedulerTest, PerCpuBuffersDrainFromAnyGetter) {
   for (std::size_t i = 0; i < pool.size(); ++i) EXPECT_EQ(got[i], &pool[i]);
 }
 
-/// serveBurst=1 is the smallest legal batch: every combining pass
-/// snapshots exactly one waiter, so batch boundaries fall between every
-/// pair of serves.  Conservation must still hold.
-TEST(SyncSchedulerTest, UnitServeBurstStillConservesUnderContention) {
-  constexpr std::size_t kTasks = 5000;
-  constexpr int kConsumers = 3;
-  SyncScheduler sched(testTopo(kConsumers + 1),
-                      std::make_unique<FifoPolicy>(),
-                      SyncScheduler::Options{.serveBurst = 1});
+/// More concurrent getters than one combining batch answers.  A gate in
+/// the policy pins the first lock holder until every getter has started
+/// and had time to queue a delegation request behind it, so that one
+/// hold must answer the queue in more than one `kServeBurst` batch.
+/// Every task must still come back exactly once.
+TEST(SyncSchedulerTest, DelegationQueueDeeperThanOneBatchConservesExactlyOnce) {
+  constexpr std::size_t kGetters = SyncScheduler::kServeBurst + 4;
+  constexpr std::size_t kTasks = 20000;
+
+  // Every policy call runs under the scheduler's DTLock, so the plain
+  // fields below are ordered by the lock's hand-offs.
+  struct GatedFifo : SchedulerPolicy {
+    FifoPolicy inner;
+    std::atomic<std::size_t>* started = nullptr;
+    bool gated = false;
+    std::thread::id holder;       // the thread that took the gated hold
+    std::size_t holderPulls = 0;  // getTasks calls on that thread
+
+    void addTask(Task* t, std::size_t cpu) override { inner.addTask(t, cpu); }
+    Task* getTask(std::size_t cpu) override {
+      if (!gated) {
+        gated = true;
+        holder = std::this_thread::get_id();
+        while (started->load(std::memory_order_acquire) < kGetters)
+          std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      }
+      return inner.getTask(cpu);
+    }
+    std::size_t getTasks(Task** out, std::size_t n,
+                         std::size_t cpu) override {
+      if (std::this_thread::get_id() == holder) ++holderPulls;
+      return inner.getTasks(out, n, cpu);
+    }
+    const char* policyName() const override { return "gated_fifo"; }
+  };
+
+  std::atomic<std::size_t> started{0};
+  auto gatedPolicy = std::make_unique<GatedFifo>();
+  GatedFifo& policy = *gatedPolicy;
+  policy.started = &started;
+  SyncScheduler sched(testTopo(kGetters), std::move(gatedPolicy));
+  // Fill before any getter runs, so every batch of the gated hold finds
+  // enough tasks and the serve loop does not stop at a short batch.
   std::vector<Task> pool(kTasks);
+  for (auto& t : pool) sched.addReadyTask(&t, 0);
 
   std::atomic<std::size_t> retrieved{0};
-  std::vector<std::vector<Task*>> got(kConsumers);
+  std::vector<std::vector<Task*>> got(kGetters);
+  std::size_t pullsInFirstHold = 0;
   std::vector<std::thread> threads;
-  threads.emplace_back([&] {
-    for (auto& t : pool) sched.addReadyTask(&t, 0);
-  });
-  for (int c = 0; c < kConsumers; ++c) {
+  for (std::size_t c = 0; c < kGetters; ++c) {
     threads.emplace_back([&, c] {
-      const std::size_t cpu = static_cast<std::size_t>(c) + 1;
+      bool first = true;
+      started.fetch_add(1, std::memory_order_release);
       while (retrieved.load(std::memory_order_relaxed) < kTasks) {
-        if (Task* t = sched.getReadyTask(cpu); t != nullptr) {
-          got[static_cast<std::size_t>(c)].push_back(t);
+        Task* t = sched.getReadyTask(c);
+        // Only the gated holder's own thread ever bumps holderPulls, so
+        // its first return reads a value no other thread writes.
+        if (first && std::this_thread::get_id() == policy.holder)
+          pullsInFirstHold = policy.holderPulls;
+        first = false;
+        if (t != nullptr) {
+          got[c].push_back(t);
           retrieved.fetch_add(1, std::memory_order_relaxed);
         } else {
           std::this_thread::yield();
@@ -199,11 +227,17 @@ TEST(SyncSchedulerTest, UnitServeBurstStillConservesUnderContention) {
   }
   for (auto& t : threads) t.join();
 
+  // One domain (Host preset), so each batch is one bulk pull: two or more
+  // pulls in the first hold means the serve loop ran past one batch.
+  EXPECT_GE(pullsInFirstHold, 2u);
   std::vector<Task*> all;
   for (const auto& v : got) all.insert(all.end(), v.begin(), v.end());
   ASSERT_EQ(all.size(), kTasks);
   std::sort(all.begin(), all.end());
-  for (std::size_t i = 0; i < kTasks; ++i) ASSERT_EQ(all[i], &pool[i]);
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    ASSERT_EQ(all[i], &pool[i]) << "a task was lost or handed out twice";
+  }
+  EXPECT_EQ(sched.getReadyTask(0), nullptr);
 }
 
 TEST(AddBufferSetTest, DomainDrainIsShardedAndBounded) {
@@ -239,16 +273,15 @@ TEST(AddBufferSetTest, DomainDrainIsShardedAndBounded) {
 }
 
 /// The starvation guarantee behind the domain-first drains: a domain
-/// with producers but NO getters must still drain.  The waiter-locality
-/// serve prefers the waiters' own shards, but when the policy runs dry
+/// with producers but NO getters must still drain.  The batched serve
+/// prefers the waiters' own shards, but when the policy runs dry
 /// the flat fallback reaches every ring, and NumaFifo's round-robin
 /// fallback then hands the tasks across domains.
 TEST(SyncSchedulerTest, ProducerOnlyDomainStillDrainsCrossDomain) {
   Topology topo;
   topo.numCpus = 4;
   topo.numNumaDomains = 2;  // CPUs 0-1 -> domain 0; 2-3 -> domain 1
-  SyncScheduler sched(topo, std::make_unique<NumaFifoPolicy>(topo),
-                      SyncScheduler::Options{.spscCapacity = 256});
+  SyncScheduler sched(topo, std::make_unique<NumaFifoPolicy>(topo));
   std::vector<Task> pool(100);
   for (auto& t : pool) sched.addReadyTask(&t, 0);  // domain-0 producer only
   // Only domain-1 CPUs ever ask; every domain-0 task must reach them,
@@ -280,26 +313,6 @@ TEST(SchedulerFactoryTest, KindNamesMatchSchedulerNames) {
     config.scheduler = kind;
     EXPECT_STREQ(makeScheduler(config)->name(), schedulerKindName(kind));
   }
-}
-
-// RuntimeConfig cannot include the sched layer's header, so its default
-// duplicates the scheduler's constant; this is the guard that keeps the
-// two from drifting.
-static_assert(WorkStealingSchedulerOptions::kDefaultStealProbeLimit == 64);
-
-TEST(WorkStealingSchedulerTest, ConfigDefaultMirrorsSchedulerDefault) {
-  RuntimeConfig config;
-  EXPECT_EQ(config.stealProbeLimit,
-            WorkStealingSchedulerOptions::kDefaultStealProbeLimit);
-}
-
-TEST(WorkStealingSchedulerTest, ClampsProbeLimitToAtLeastOne) {
-  // stealProbeLimit = 0 would make remote-domain work unreachable; the
-  // constructor clamps it.
-  WorkStealingScheduler sched(testTopo(4),
-                              WorkStealingScheduler::Options{
-                                  .stealProbeLimit = 0});
-  EXPECT_EQ(sched.stealProbeLimit(), 1u);
 }
 
 TEST(WorkStealingSchedulerTest, SpawnerSlotDequeIsStealOnlyIngress) {
@@ -552,8 +565,7 @@ TEST_P(PolicyUnderSchedulerTest, FloodConservesTasksExactlyOnce) {
   constexpr std::size_t kTasks = 10000;
   constexpr int kConsumers = 3;
   const Topology topo = testTopo(kConsumers + 1);
-  SyncScheduler sched(topo, makePolicy(GetParam(), topo),
-                      SyncScheduler::Options{});
+  SyncScheduler sched(topo, makePolicy(GetParam(), topo));
   std::vector<Task> pool(kTasks);
 
   std::atomic<std::size_t> retrieved{0};

@@ -17,9 +17,10 @@ the iteration rows per name (equivalent to the mean aggregate) so no
 single noisy repetition decides a delta and aggregates never
 double-count.
 
-Exit status is 0 unless --fail-below is given, in which case any
-benchmark whose delta falls below the threshold (percent, e.g. -10)
-fails the run — the hook a future CI perf gate can use.
+Exit status is 0 unless --fail-below is given, in which case the run
+fails when any baseline benchmark's delta falls below the threshold
+(percent, e.g. -10), its metric kind changed, or it is missing from the
+new file — a gate must not pass a row it could not compare.
 
 Stdlib only; no third-party deps.
 """
@@ -102,13 +103,15 @@ def main(argv=None):
 
     width = max(len(name) for name in common)
     print(f"{'benchmark':<{width}}  {'old':>18}  {'new':>18}  {'delta':>8}")
-    failed = []
+    failed = []  # (name, reason)
     for name in common:
         old_value, old_kind = old[name]
         new_value, new_kind = new[name]
         if old_kind != new_kind:
             print(f"{name:<{width}}  metric kind changed "
                   f"({old_kind} -> {new_kind}); not comparable")
+            failed.append((name, f"metric kind changed ({old_kind} -> "
+                                 f"{new_kind})"))
             continue
         pct = delta_pct(old_value, new_value, old_kind)
         print(
@@ -116,23 +119,24 @@ def main(argv=None):
             f"{format_value(new_value, new_kind):>18}  {pct:>+7.1f}%"
         )
         if args.fail_below is not None and pct < args.fail_below:
-            failed.append((name, pct))
+            failed.append((name, f"{pct:+.1f}%"))
 
     only_old = sorted(set(old) - set(new))
     only_new = sorted(set(new) - set(old))
     if only_old:
         print(f"\nonly in {args.old}: " + ", ".join(only_old))
+        failed.extend((name, "missing from the new file") for name in only_old)
     if only_new:
         print(f"only in {args.new}: " + ", ".join(only_new))
 
-    if failed:
+    if args.fail_below is not None and failed:
         print(
             f"\nFAIL: {len(failed)} benchmark(s) regressed past "
-            f"{args.fail_below}%:",
+            f"{args.fail_below}% or could not be compared:",
             file=sys.stderr,
         )
-        for name, pct in failed:
-            print(f"  {name}: {pct:+.1f}%", file=sys.stderr)
+        for name, reason in failed:
+            print(f"  {name}: {reason}", file=sys.stderr)
         return 1
     return 0
 
