@@ -3,8 +3,8 @@
 // LLVM-based and ties the LLVM curve, so the llvm_like stand-in covers
 // both.  llvm_like is the real per-CPU Chase–Lev work-stealing scheduler
 // (it was a relabeled SyncScheduler before PR 6), so this figure now
-// compares genuinely different architectures, which matters most on
-// Rome's 8 NUMA domains: the thief probe order is NUMA-local-first.
+// compares genuinely different architectures.  The preset fixes only the
+// thread count; the runtime models no NUMA domains.
 #include "bench/fig_common.hpp"
 
 int main() {

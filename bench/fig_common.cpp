@@ -60,10 +60,8 @@ void runFigure(const std::string& figure, MachinePreset preset,
                const std::vector<std::string>& apps,
                const std::vector<Variant>& variants) {
   const SweepConfig cfg = resolveSweepConfig(preset);
-  std::printf("# %s: %s preset, %zu threads, %zu NUMA domains, %zu reps, "
-              "%s scale\n",
-              figure.c_str(), presetName(preset), cfg.topo.numCpus,
-              cfg.topo.numNumaDomains, cfg.reps,
+  std::printf("# %s: %s preset, %zu threads, %zu reps, %s scale\n",
+              figure.c_str(), presetName(preset), cfg.topo.numCpus, cfg.reps,
               cfg.scale == AppScale::Full ? "full" : "quick");
   std::printf("# efficiency = 100 * throughput / peak-throughput-per-app "
               "(paper §6.2); higher is better\n\n");

@@ -4,10 +4,6 @@
 //  * SPSC add-buffer capacity (paper Listing 5 hardcodes 100; we default
 //    to 256 — how sensitive is throughput to it, including the overflow
 //    help-drain path at tiny capacities?)
-//  * add-buffer layout: one queue per NUMA domain vs a single shared one
-//    (§3.1: "can be configured from a single one to one per core")
-//  * scheduling policy plugged into the SyncScheduler (FIFO / LIFO /
-//    NUMA-aware FIFO): the §3.2 extensibility argument, measured
 //  * the scheduler design itself on identical deps/alloc
 //
 // Each configuration runs the same fine-grained chain workload through
@@ -15,7 +11,6 @@
 #include <benchmark/benchmark.h>
 
 #include "runtime/runtime.hpp"
-#include "sched/policies.hpp"
 
 namespace {
 
@@ -45,35 +40,6 @@ void BM_SpscCapacity(benchmark::State& state) {
 }
 BENCHMARK(BM_SpscCapacity)
     ->Arg(4)->Arg(32)->Arg(100)->Arg(256)->Arg(2048)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_AddBufferLayout(benchmark::State& state) {
-  // Ready-queue layout under the NUMA-aware policy, Rome preset shape
-  // at kThreads workers: range(0)==1 keeps the preset's multi-domain
-  // layout (one ready FIFO per domain, local-first), 0 collapses to a
-  // single domain (one shared FIFO).  The domain count feeds
-  // NumaFifoPolicy — under the default Fifo policy both shapes are
-  // byte-identical, so the sweep pins the policy explicitly.  (Per-NUMA
-  // *add-buffer* sharding is still one-SPSC-per-slot either way; see
-  // ROADMAP.)
-  Topology topo = makeTopology(MachinePreset::Rome, kThreads);
-  if (state.range(0) == 0) topo.numNumaDomains = 1;
-  RuntimeConfig cfg = optimizedConfig(topo);
-  cfg.policy = PolicyKind::NumaFifo;
-  runWorkload(state, cfg);
-}
-BENCHMARK(BM_AddBufferLayout)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_Policy(benchmark::State& state) {
-  RuntimeConfig cfg = optimizedConfig(makeTopology(MachinePreset::Host,
-                                                   kThreads));
-  cfg.policy = static_cast<PolicyKind>(state.range(0));
-  runWorkload(state, cfg);
-}
-BENCHMARK(BM_Policy)
-    ->Arg(int(PolicyKind::Fifo))
-    ->Arg(int(PolicyKind::Lifo))
-    ->Arg(int(PolicyKind::NumaFifo))
     ->Unit(benchmark::kMillisecond);
 
 void BM_SchedulerKind(benchmark::State& state) {

@@ -68,7 +68,7 @@ class SpscQueue {
   }
 
   /// Bounded consumeAll: drain at most `maxN` published values, FIFO,
-  /// still one index update at the end.  The per-domain burst drains use
+  /// still one index update at the end.  The schedulers' burst drains use
   /// this to cap how much work one lock hold performs; what stays behind
   /// remains published for the next drain.  Returns the drained count.
   template <typename F>

@@ -28,14 +28,7 @@ struct TraceAnalysis {
   double meanIdlePct = 0;     ///< mean starvation over worker streams
 
   std::uint64_t serveCount = 0;    ///< SchedServe events (serve bursts)
-  std::uint64_t servedTasks = 0;   ///< total hand-offs (local + remote)
-  /// The v3 SchedServe payload split (trace_event.hpp): hand-offs pulled
-  /// with the waiter's own-domain view vs hand-offs that crossed
-  /// domains.  crossServeRatio = servedTasksRemote / servedTasks — the
-  /// NUMA cousin of stealRatio below.
-  std::uint64_t servedTasksLocal = 0;
-  std::uint64_t servedTasksRemote = 0;
-  double crossServeRatio = 0;
+  std::uint64_t servedTasks = 0;   ///< sum of SchedServe payloads (hand-offs)
   std::uint64_t drainCount = 0;    ///< SchedDrain events
   std::uint64_t drainedTasks = 0;  ///< sum of SchedDrain payloads
   std::uint64_t contendedCount = 0;  ///< SchedLockContended events

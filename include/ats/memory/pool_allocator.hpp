@@ -32,10 +32,7 @@ class PoolThreadCache;
 ///     refilled by carving chunked slabs from operator new.  Magazines
 ///     refill from and overflow to the depot in batches of
 ///     kRefillBatch/kFlushBatch, so depot lock traffic is 1/batch of
-///     the allocation rate.  Depots are further sharded by NUMA domain
-///     (kNumDepotShards / setThreadDomain): threads on different
-///     domains hit disjoint locks and freelists, and carved slabs stay
-///     with the carving thread's domain.
+///     the allocation rate.
 ///
 /// Every block carries a 16-byte header (owning thread cache + size
 /// class), so `deallocate` finds the owner without any lookup and the
@@ -70,12 +67,6 @@ class PoolAllocator final : public Allocator {
   static constexpr std::size_t kRefillBatch = 32;
   static constexpr std::size_t kFlushBatch = 32;
 
-  /// Central depots are sharded by NUMA domain so refill/flush traffic
-  /// from different domains never meets on a lock or a freelist cache
-  /// line, and carved chunks stay domain-local.  Sized for the largest
-  /// preset (Rome's 8 NPS4 domains); larger domain ids wrap.
-  static constexpr std::size_t kNumDepotShards = 8;
-
   static constexpr unsigned char kPoisonByte = 0xDE;
 
   static PoolAllocator& instance();
@@ -94,14 +85,6 @@ class PoolAllocator final : public Allocator {
     return reservedBytes_.load(std::memory_order_relaxed);
   }
 
-  /// Bind the calling thread's depot traffic to `domain`'s shard
-  /// (modulo kNumDepotShards).  The Runtime calls this per worker with
-  /// Topology::domainOfSlot; threads that never call it use shard 0,
-  /// which is exactly the pre-sharding single-depot behavior.  Applies
-  /// to the caller's current cache immediately and to any cache the
-  /// thread adopts later.
-  void setThreadDomain(std::size_t domain);
-
   void setPoisoning(bool on) {
     poison_.store(on, std::memory_order_relaxed);
   }
@@ -109,17 +92,13 @@ class PoolAllocator final : public Allocator {
     return poison_.load(std::memory_order_relaxed);
   }
 
-  /// Test/stats introspection, all relative to the calling thread's
-  /// cache: current magazine fill for the class serving `userSize`,
-  /// blocks parked in that class's central depots (summed across every
-  /// shard; the per-shard variant isolates one), blocks other threads
-  /// have pushed to this thread's remote-free list, and the depot shard
-  /// the caller's cache is bound to.
+  /// Test/stats introspection: the calling thread's current magazine
+  /// fill for the class serving `userSize`, blocks parked in that
+  /// class's central depot, and blocks other threads have pushed to the
+  /// calling thread's remote-free list.
   std::size_t testLocalMagazineFill(std::size_t userSize);
   std::size_t testDepotFree(std::size_t userSize);
-  std::size_t testDepotFreeOnShard(std::size_t userSize, std::size_t shard);
   std::size_t testRemotePendingOnCaller();
-  std::size_t testCallerDepotShard();
 
  private:
   friend class PoolThreadCache;
@@ -138,13 +117,12 @@ class PoolAllocator final : public Allocator {
   void drainRemote(PoolThreadCache& cache);
   void stashInMagazine(PoolThreadCache& cache, std::size_t cls,
                        void* block);
-  void flushFromMagazine(std::size_t shard, std::size_t cls, void** blocks,
-                         std::size_t count);
-  // That (shard, cls) depot's lock must be held by the caller.
-  void carveChunk(std::size_t shard, std::size_t cls);
+  void flushFromMagazine(std::size_t cls, void** blocks, std::size_t count);
+  // That class's depot lock must be held by the caller.
+  void carveChunk(std::size_t cls);
   void retireCache(PoolThreadCache* cache);
 
-  Depot depots_[kNumDepotShards][kNumClasses];
+  Depot depots_[kNumClasses];
 
   SpinLock cacheLock_;
   std::vector<std::unique_ptr<PoolThreadCache>> caches_;

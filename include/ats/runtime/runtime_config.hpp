@@ -4,7 +4,6 @@
 
 #include "common/topology.hpp"
 #include "deps/dependency_system.hpp"  // DepsKind lives in the deps layer
-#include "sched/policy_kind.hpp"       // PolicyKind (enum only, no policies)
 
 namespace ats {
 
@@ -18,8 +17,8 @@ enum class SchedulerKind {
   WorkStealing,    ///< per-CPU Chase–Lev deques + stealing (LLVM-family)
 };
 
-/// Stable short name per kind, matching each scheduler's `name()` (the
-/// policyKindName companion; bench labels and error messages use it).
+/// Stable short name per kind, matching each scheduler's `name()` (bench
+/// labels and error messages use it).
 constexpr const char* schedulerKindName(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::CentralMutex: return "central_mutex";
@@ -40,10 +39,6 @@ struct RuntimeConfig {
   /// Thread-caching pool allocator for task descriptors (§4's jemalloc
   /// role); false = plain system malloc.
   bool usePoolAllocator = true;
-
-  /// Ready-queue policy behind the serialized schedulers (§3.2's
-  /// extensibility, micro_ablation's BM_Policy sweep).
-  PolicyKind policy = PolicyKind::Fifo;
 
   /// Slots in each per-CPU SPSC add-buffer (SyncDelegation and
   /// PTLockCentral), and the initial per-CPU deque capacity under

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
@@ -21,12 +20,6 @@ struct Task : DepTask {
   /// Raw body entry point (used when no closure is installed).
   void (*body)(void* arg) = nullptr;
   void* arg = nullptr;
-
-  /// NUMA domain hint for affinity-aware policies (0 = don't care).
-  std::uint32_t numaHint = 0;
-
-  /// Higher runs earlier under priority-aware policies.
-  std::uint32_t priority = 0;
 
   /// Inline closure storage; capture sets larger than this spill to the
   /// heap (Runtime::installClosure decides and sets the destroyer).

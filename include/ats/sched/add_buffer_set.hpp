@@ -19,17 +19,9 @@ struct Task;
 /// lock is the (serialized) consumer of all of them, so the dtlock and
 /// ptlock designs drain identical structures and their comparison
 /// isolates the lock protocol alone.
-///
-/// The rings are additionally sharded by NUMA domain
-/// (Topology::domainOfSlot): `drainDomain` lets the lock holder empty
-/// just the rings whose producers live on one domain — the waiters'
-/// domain during a batched serve, the getter's own during a refill — so
-/// the common drain touches a per-domain slice of cache lines instead
-/// of every CPU's.  `drainInto` keeps the flat everything-pass as the
-/// fallback that guarantees no ring can be stranded.
 class AddBufferSet {
  public:
-  /// "No cap" sentinel for drainDomain's maxTasks.
+  /// "No cap" sentinel for drainInto's maxTasks.
   static constexpr std::size_t kNoCap = ~std::size_t{0};
 
   AddBufferSet(const Topology& topo, std::size_t capacity) {
@@ -38,18 +30,9 @@ class AddBufferSet {
     for (std::size_t slot = 0; slot < slots; ++slot) {
       buffers_.push_back(std::make_unique<SpscQueue<Task*>>(capacity));
     }
-    const std::size_t domains =
-        std::max<std::size_t>(1, topo.numNumaDomains);
-    domainSlots_.resize(domains);
-    for (std::size_t slot = 0; slot < slots; ++slot) {
-      std::size_t domain = topo.domainOfSlot(slot);
-      if (domain >= domains) domain = domains - 1;
-      domainSlots_[domain].push_back(slot);
-    }
   }
 
   std::size_t numCpus() const { return buffers_.size(); }
-  std::size_t numDomains() const { return domainSlots_.size(); }
 
   /// Wait-free; false when cpu's buffer is full (caller runs the
   /// overflow drain protocol under the lock).
@@ -57,40 +40,24 @@ class AddBufferSet {
     return buffers_[cpu]->push(task);
   }
 
-  /// Move every published add into the policy, crediting each task to
-  /// the CPU that enqueued it.  Caller must hold the scheduler's lock.
-  /// Returns the number of tasks moved (the SchedDrain trace payload).
-  std::size_t drainInto(SchedulerPolicy& policy) {
+  /// Move at most `maxTasks` published adds into the policy: rings in
+  /// slot order, each drained FIFO with one index update, and rings
+  /// past the cap left untouched.  Caller must hold the scheduler's
+  /// lock.  Returns the number of tasks moved (the SchedDrain trace
+  /// payload).
+  std::size_t drainInto(SchedulerPolicy& policy,
+                        std::size_t maxTasks = kNoCap) {
     std::size_t drained = 0;
-    for (std::size_t cpu = 0; cpu < buffers_.size(); ++cpu) {
-      buffers_[cpu]->consumeAll([&](Task* task) {
-        policy.addTask(task, cpu);
-        ++drained;
-      });
-    }
-    return drained;
-  }
-
-  /// Drain at most `maxTasks` adds from ONE domain's rings into the
-  /// policy (each ring still drained FIFO, rings in slot order, one
-  /// index update per touched ring).  Caller must hold the scheduler's
-  /// lock.  Returns the number moved — the same SchedDrain currency as
-  /// drainInto.
-  std::size_t drainDomain(SchedulerPolicy& policy, std::size_t domain,
-                          std::size_t maxTasks = kNoCap) {
-    std::size_t drained = 0;
-    for (const std::size_t slot : domainSlots_[domain]) {
+    for (const auto& buffer : buffers_) {
       if (drained >= maxTasks) break;
-      drained += buffers_[slot]->consumeN(maxTasks - drained, [&](Task* task) {
-        policy.addTask(task, slot);
-      });
+      drained += buffer->consumeN(maxTasks - drained,
+                                  [&](Task* task) { policy.addTask(task); });
     }
     return drained;
   }
 
  private:
   std::vector<std::unique_ptr<SpscQueue<Task*>>> buffers_;
-  std::vector<std::vector<std::size_t>> domainSlots_;
 };
 
 }  // namespace ats

@@ -31,7 +31,6 @@ class PTLockScheduler final : public Scheduler {
   const char* name() const override { return "ptlock_central"; }
 
  private:
-  Topology topo_;
   PTLock lock_;
   std::unique_ptr<SchedulerPolicy> policy_;
   AddBufferSet addBuffers_;

@@ -10,7 +10,8 @@ struct Task;
 
 /// The synchronized scheduler surface the runtime's worker loop talks to.
 /// `cpu` is the caller's logical CPU index within the runtime's Topology;
-/// implementations may use it for SPSC buffer selection or NUMA affinity.
+/// implementations use it to select the caller's own SPSC buffer, deque
+/// or DTLock slot.
 /// `getReadyTask` is non-blocking: nullptr means "nothing ready now".
 ///
 /// Every scheduler optionally carries a §5 Tracer.  The contract for
@@ -56,26 +57,26 @@ class Scheduler {
 
 /// An *unsynchronized* ready-queue policy.  The paper's point in §3.2 is
 /// that once the DTLock serializes access, the policy inside can be
-/// written as plain single-threaded code and swapped freely (FIFO, LIFO,
-/// NUMA-aware...).  Callers guarantee mutual exclusion.
-/// The concrete policies live in sched/policies.hpp behind PolicyKind.
+/// written as plain single-threaded code and swapped freely.  Callers
+/// guarantee mutual exclusion.  The one shipped policy is FifoPolicy
+/// (sched/policies.hpp); tests substitute their own through this seam.
 class SchedulerPolicy {
  public:
   virtual ~SchedulerPolicy() = default;
 
-  virtual void addTask(Task* task, std::size_t cpu) = 0;
-  virtual Task* getTask(std::size_t cpu) = 0;
+  virtual void addTask(Task* task) = 0;
+  virtual Task* getTask() = 0;
 
   /// Pull up to `n` tasks into `out` in one pass — the bulk form the
   /// batched delegation serve uses, so a combining burst costs the
   /// policy one call instead of one virtual dispatch per waiter.
   /// Returns how many were delivered (< n means the queue ran dry).
   /// The default loops over getTask; policies override with real bulk
-  /// pops.  Same ordering contract as repeated getTask(cpu) calls.
-  virtual std::size_t getTasks(Task** out, std::size_t n, std::size_t cpu) {
+  /// pops.  Same ordering contract as repeated getTask() calls.
+  virtual std::size_t getTasks(Task** out, std::size_t n) {
     std::size_t got = 0;
     while (got < n) {
-      Task* task = getTask(cpu);
+      Task* task = getTask();
       if (task == nullptr) break;
       out[got++] = task;
     }

@@ -14,8 +14,8 @@ namespace ats {
 ///
 ///   * addReadyTask: push into the caller CPU's own SPSC buffer — no
 ///     shared-lock traffic at all on the common path.  When the buffer is
-///     full, the caller takes the DTLock itself, drains its domain's
-///     buffers into the policy, and serves any queued delegation requests
+///     full, the caller takes the DTLock itself, drains the add-buffers
+///     into the policy, and serves any queued delegation requests
 ///     while it is there (the overflow "help-drain" protocol).
 ///   * getReadyTask: `lockOrDelegate`.  Usually some other thread already
 ///     holds the lock and simply hands a task back; the waiter never owns
@@ -24,17 +24,16 @@ namespace ats {
 ///     its own task, and serves the delegation queue before releasing.
 ///
 /// Serving is the §8 flat-combining batch: the holder snapshots a run of
-/// queued requests with one `popWaiters` pass, groups the waiters by NUMA
-/// domain, pulls each group's tasks with one `getTasks` call from that
-/// group's own locality view, and publishes every answer behind a single
-/// release fence (`serveBatch`).  Add-buffers are refilled flat at most
-/// once per lock hold.
+/// queued requests with one `popWaiters` pass, pulls the batch's tasks
+/// with one `getTasks` call, and publishes every answer behind a single
+/// release fence (`serveBatch`).  A short pull tops the policy up with a
+/// bounded drain; the unbounded refill runs at most once per lock hold.
 class SyncScheduler final : public Scheduler {
  public:
-  /// Most waiters a single combining batch answers.  Also bounds each
-  /// group's add-buffer shard top-up, and sizes the serve loop's stack
-  /// arrays — more waiters than this simply take another batch within
-  /// the same lock hold.
+  /// Most waiters a single combining batch answers.  Also bounds the
+  /// add-buffer top-up drains, and sizes the serve loop's stack arrays —
+  /// more waiters than this simply take another batch within the same
+  /// lock hold.
   static constexpr std::size_t kServeBurst = 16;
 
   /// §3.1: "can be configured from a single one to one per core".  The
@@ -42,8 +41,7 @@ class SyncScheduler final : public Scheduler {
   /// next power of two up.  micro_ablation sweeps it.
   ///
   /// Traced variant emits SchedDrain per non-empty add-buffer drain and
-  /// one SchedServe per serve batch with the packed local/remote
-  /// hand-off counts as payload (trace_event.hpp's packServePayload).
+  /// one SchedServe per serve batch with the hand-off count as payload.
   SyncScheduler(Topology topo, std::unique_ptr<SchedulerPolicy> policy,
                 std::size_t spscCapacity = 256, Tracer* tracer = nullptr);
 

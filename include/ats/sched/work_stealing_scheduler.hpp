@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -23,21 +22,17 @@ namespace ats {
 ///     the same reason: the spawner has its own reserved slot, its
 ///     deque is steal-only ingress for the workers.
 ///   * getReadyTask(cpu): pop slot `cpu`'s deque LIFO (depth-first,
-///     cache-warm — the same trade LifoPolicy prices); on empty, steal
-///     FIFO from victims, every same-NUMA-domain slot first (Topology's
-///     domain map, the way NumaFifoPolicy uses it), then remote slots
-///     round-robin behind a rotating cursor, at most `kStealProbeLimit`
-///     remote probes per call before reporting empty.  A steal CAS lost
-///     to a competitor retries the same victim: an abort means someone
-///     else just removed an element, so the retry loop is progress-
-///     bounded by the victim's queue length.
+///     cache-warm); on empty, steal FIFO from every other slot in ring
+///     order starting at `cpu + 1` before reporting empty.  A steal CAS
+///     lost to a competitor retries the same victim: an abort means
+///     someone else just removed an element, so the retry loop is
+///     progress-bounded by the victim's queue length.
 ///
 /// This design bypasses the SchedulerPolicy serialization model the
 /// other three schedulers share: there is no point where one thread
 /// holds all the tasks, so a pluggable single-threaded policy object
-/// has nothing to serialize against.  RuntimeConfig::policy is
-/// therefore ignored under SchedulerKind::WorkStealing (the per-deque
-/// LIFO/steal-FIFO order IS the policy).
+/// has nothing to serialize against: the per-deque LIFO/steal-FIFO
+/// order IS the policy.
 ///
 /// Traced variant emits one SchedSteal per successful steal (payload =
 /// victim slot) into the thief's stream — bounded by tasks executed,
@@ -46,15 +41,11 @@ namespace ats {
 /// design exists to demonstrate.
 class WorkStealingScheduler final : public Scheduler {
  public:
-  /// Most REMOTE-domain victims one getReadyTask call probes (the local
-  /// domain is always probed in full).
-  static constexpr std::size_t kStealProbeLimit = 64;
-
   /// `dequeCapacity` is the initial per-slot deque capacity; the deque
   /// grows past it on demand, so unlike the SPSC schedulers there is no
   /// overflow protocol to size against.  RuntimeConfig passes
   /// `spscCapacity` here (the same "per-CPU buffer" knob).
-  WorkStealingScheduler(Topology topo, std::size_t dequeCapacity = 256,
+  WorkStealingScheduler(const Topology& topo, std::size_t dequeCapacity = 256,
                         Tracer* tracer = nullptr);
 
   void addReadyTask(Task* task, std::size_t cpu) override;
@@ -67,21 +58,7 @@ class WorkStealingScheduler final : public Scheduler {
   /// SchedSteal into `cpu`'s stream on success.
   bool stealFrom(std::size_t victim, std::size_t cpu, Task*& out);
 
-  /// Per-slot rotating cursor into the remote victim list.  Owner-only
-  /// (each slot's single thread), padded so neighbouring slots' cursor
-  /// updates never share a line.
-  struct alignas(64) ProbeCursor {
-    std::size_t next = 0;
-  };
-
-  Topology topo_;
   std::vector<std::unique_ptr<ChaseLevDeque<Task*>>> deques_;
-  std::unique_ptr<ProbeCursor[]> cursors_;
-  /// victim slot indices per slot, precomputed at construction:
-  /// same-domain slots (always probed, in ring order from the slot) and
-  /// the rest (rotating bounded probe).
-  std::vector<std::vector<std::uint32_t>> localVictims_;
-  std::vector<std::vector<std::uint32_t>> remoteVictims_;
 };
 
 }  // namespace ats

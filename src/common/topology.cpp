@@ -1,46 +1,32 @@
 #include "common/topology.hpp"
 
-#include <algorithm>
 #include <thread>
 
 namespace ats {
 
 namespace {
 
-Topology presetShape(MachinePreset preset) {
-  Topology t;
-  t.preset = preset;
+std::size_t presetCpus(MachinePreset preset) {
   switch (preset) {
     case MachinePreset::Xeon:
-      t.numCpus = 48;
-      t.numNumaDomains = 2;
-      break;
+      return 48;
     case MachinePreset::Rome:
-      t.numCpus = 128;
-      t.numNumaDomains = 8;
-      break;
+      return 128;
     case MachinePreset::Graviton:
-      t.numCpus = 64;
-      t.numNumaDomains = 1;
+      return 64;
+    case MachinePreset::Host:
       break;
-    case MachinePreset::Host: {
-      const unsigned hw = std::thread::hardware_concurrency();
-      t.numCpus = hw > 0 ? hw : 1;
-      t.numNumaDomains = 1;
-      break;
-    }
   }
-  return t;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;
 }
 
 }  // namespace
 
 Topology makeTopology(MachinePreset preset, std::size_t numCpus) {
-  Topology t = presetShape(preset);
-  if (numCpus > 0) {
-    t.numCpus = numCpus;
-    t.numNumaDomains = std::min(t.numNumaDomains, t.numCpus);
-  }
+  Topology t;
+  t.preset = preset;
+  t.numCpus = numCpus > 0 ? numCpus : presetCpus(preset);
   return t;
 }
 

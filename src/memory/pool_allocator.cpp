@@ -97,11 +97,6 @@ class PoolThreadCache {
 
   PoolThreadCache* nextInactive = nullptr;
 
-  /// Depot shard this cache refills from / flushes to.  (Re)stamped
-  /// from the adopting thread's domain binding each time a thread picks
-  /// the cache up, so a migrated cache follows its new owner's domain.
-  std::size_t depotShard = 0;
-
   /// Thread-exit hook target; lives here because PoolThreadCache is the
   /// pool's named friend and the TLS holder below is not.
   static void retire(PoolThreadCache* cache) {
@@ -124,11 +119,6 @@ thread_local struct TlsCacheSlot {
     cache = nullptr;
   }
 } tlsCacheSlot;
-
-/// The calling thread's depot-shard binding (setThreadDomain).  Kept
-/// outside the cache so it survives cache adoption and is readable
-/// before a cache exists.
-thread_local std::size_t tlsDepotShard = 0;
 
 void pushRemote(PoolThreadCache* owner, void* block) {
   void* head = owner->remoteHead.load(std::memory_order_relaxed);
@@ -166,16 +156,9 @@ PoolThreadCache& PoolAllocator::localCache() {
       caches_.push_back(std::make_unique<PoolThreadCache>());
       cache = caches_.back().get();
     }
-    cache->depotShard = tlsDepotShard;
     tlsCacheSlot.cache = cache;
   }
   return *cache;
-}
-
-void PoolAllocator::setThreadDomain(std::size_t domain) {
-  const std::size_t shard = domain % kNumDepotShards;
-  tlsDepotShard = shard;
-  if (tlsCacheSlot.cache != nullptr) tlsCacheSlot.cache->depotShard = shard;
 }
 
 void* PoolAllocator::allocate(std::size_t size) {
@@ -236,7 +219,7 @@ void PoolAllocator::stashInMagazine(PoolThreadCache& cache, std::size_t cls,
                                     void* block) {
   auto& mag = cache.mags[cls];
   if (mag.count == kMagazineCapacity) {
-    flushFromMagazine(cache.depotShard, cls, mag.slots, kFlushBatch);
+    flushFromMagazine(cls, mag.slots, kFlushBatch);
     std::memmove(mag.slots, mag.slots + kFlushBatch,
                  (kMagazineCapacity - kFlushBatch) * sizeof(void*));
     mag.count = kMagazineCapacity - kFlushBatch;
@@ -252,12 +235,11 @@ void PoolAllocator::refill(PoolThreadCache& cache, std::size_t cls) {
   auto& mag = cache.mags[cls];
   if (mag.count != 0) return;
 
-  Depot& depot = depots_[cache.depotShard][cls];
+  Depot& depot = depots_[cls];
   std::lock_guard<SpinLock> guard(depot.lock);
   // Top up before taking so a refill always moves a full batch — chunk
-  // carving guarantees at least kRefillBatch fresh blocks.  The carve
-  // lands in this cache's shard, so the slab stays domain-local.
-  if (depot.freeCount < kRefillBatch) carveChunk(cache.depotShard, cls);
+  // carving guarantees at least kRefillBatch fresh blocks.
+  if (depot.freeCount < kRefillBatch) carveChunk(cls);
   std::size_t take = kRefillBatch;
   for (; take > 0; --take) {
     void* block = depot.freeHead;
@@ -279,9 +261,9 @@ void PoolAllocator::drainRemote(PoolThreadCache& cache) {
   }
 }
 
-void PoolAllocator::flushFromMagazine(std::size_t shard, std::size_t cls,
-                                      void** blocks, std::size_t count) {
-  Depot& depot = depots_[shard][cls];
+void PoolAllocator::flushFromMagazine(std::size_t cls, void** blocks,
+                                      std::size_t count) {
+  Depot& depot = depots_[cls];
   std::lock_guard<SpinLock> guard(depot.lock);
   for (std::size_t i = 0; i < count; ++i) {
     writeLink(blocks[i], depot.freeHead);
@@ -290,7 +272,7 @@ void PoolAllocator::flushFromMagazine(std::size_t shard, std::size_t cls,
   }
 }
 
-void PoolAllocator::carveChunk(std::size_t shard, std::size_t cls) {
+void PoolAllocator::carveChunk(std::size_t cls) {
   // Failpoint: models chunk-reservation failure (the OOM drill).  Throw
   // mode is exception-safe HERE — the guards below unwind and nothing
   // is half-linked — but only spawn-path callers (allocateTask, closure
@@ -313,7 +295,7 @@ void PoolAllocator::carveChunk(std::size_t shard, std::size_t cls) {
   }
   reservedBytes_.fetch_add(bytes, std::memory_order_relaxed);
 
-  Depot& depot = depots_[shard][cls];
+  Depot& depot = depots_[cls];
   for (std::size_t i = 0; i < blocks; ++i) {
     void* block = chunk + i * blockSize;
     auto* hdr = static_cast<BlockHeader*>(block);
@@ -334,7 +316,7 @@ void PoolAllocator::retireCache(PoolThreadCache* cache) {
   for (std::size_t cls = 0; cls < kNumClasses; ++cls) {
     auto& mag = cache->mags[cls];
     if (mag.count != 0) {
-      flushFromMagazine(cache->depotShard, cls, mag.slots, mag.count);
+      flushFromMagazine(cls, mag.slots, mag.count);
       mag.count = 0;
     }
   }
@@ -350,20 +332,7 @@ std::size_t PoolAllocator::testLocalMagazineFill(std::size_t userSize) {
 
 std::size_t PoolAllocator::testDepotFree(std::size_t userSize) {
   if (userSize > kMaxPooledSize) return 0;
-  const std::size_t cls = classIndexFor(userSize + kHeaderBytes);
-  std::size_t total = 0;
-  for (std::size_t shard = 0; shard < kNumDepotShards; ++shard) {
-    Depot& depot = depots_[shard][cls];
-    std::lock_guard<SpinLock> guard(depot.lock);
-    total += depot.freeCount;
-  }
-  return total;
-}
-
-std::size_t PoolAllocator::testDepotFreeOnShard(std::size_t userSize,
-                                                std::size_t shard) {
-  if (userSize > kMaxPooledSize || shard >= kNumDepotShards) return 0;
-  Depot& depot = depots_[shard][classIndexFor(userSize + kHeaderBytes)];
+  Depot& depot = depots_[classIndexFor(userSize + kHeaderBytes)];
   std::lock_guard<SpinLock> guard(depot.lock);
   return depot.freeCount;
 }
@@ -378,10 +347,6 @@ std::size_t PoolAllocator::testRemotePendingOnCaller() {
        block != nullptr; block = readLink(block))
     ++pending;
   return pending;
-}
-
-std::size_t PoolAllocator::testCallerDepotShard() {
-  return localCache().depotShard;
 }
 
 }  // namespace ats

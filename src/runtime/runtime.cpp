@@ -116,20 +116,12 @@ Runtime::Runtime(RuntimeConfig config) : config_(std::move(config)) {
   alloc_ = config_.usePoolAllocator
                ? static_cast<Allocator*>(&PoolAllocator::instance())
                : static_cast<Allocator*>(&SystemAllocator::instance());
-  if (config_.usePoolAllocator) {
-    // Bind the spawner's pool depot traffic to its slot's domain (the
-    // reserved slot folds onto a real CPU's domain, like everywhere
-    // else).  Workers bind their own in workerLoop.
-    PoolAllocator::instance().setThreadDomain(
-        config_.topo.domainOfSlot(config_.topo.numCpus));
-  }
 
   // The scheduler gets one slot per worker plus the reserved spawner
   // slot, so every thread that touches it is a distinct SPSC producer
   // and DTLock delegator.  Reserved via Topology::reservedSlots, NOT by
-  // inflating numCpus: the NUMA-aware policy derives its CPU->domain
-  // map from numCpus, and a phantom extra "CPU" would shift
-  // cpusPerDomain and misclassify real workers.
+  // inflating numCpus: numCpus is the worker count (threads started,
+  // tracer streams, pinning), and the spawner is not a worker.
   spawnerCpu_ = config_.topo.numCpus;
   slots_ = std::make_unique<SlotCounters[]>(config_.topo.numCpus + 1);
   RuntimeConfig schedConfig = config_;
@@ -337,13 +329,6 @@ void Runtime::executeTask(Task* task, std::size_t cpu) {
 void Runtime::workerLoop(std::size_t cpu) {
   tlsCpu = cpu;
   pinWorker(cpu, config_.topo.numCpus);
-  // Route this worker's pool refills/flushes to its own domain's depot
-  // shard, so descriptor churn on different domains never meets on a
-  // depot lock and carved slabs stay domain-local (§4, NUMA-sharded).
-  if (config_.usePoolAllocator) {
-    PoolAllocator::instance().setThreadDomain(
-        config_.topo.domainOfSlot(cpu));
-  }
   // §5 emissions are edge-triggered (idle streak begin/end, task
   // start/end), never per-poll, so a traced worker's event volume is
   // O(tasks) — and every site is null-guarded, so the untraced loop is

@@ -10,23 +10,22 @@
 namespace ats {
 
 std::unique_ptr<Scheduler> makeScheduler(const RuntimeConfig& config) {
-  // The three serialized designs run the same configured policy object,
-  // so policy sweeps compare policies, not scheduler substrates.
-  // WorkStealing has no serialization point to plug a policy into and
-  // ignores config.policy (see WorkStealingScheduler's header).
+  // The three serialized designs run the same FIFO policy, so the
+  // figures compare synchronization substrates, not queues.  WorkStealing
+  // has no serialization point to plug a policy into (see
+  // WorkStealingScheduler's header).
   switch (config.scheduler) {
     case SchedulerKind::CentralMutex:
       return std::make_unique<CentralMutexScheduler>(
-          config.topo, makePolicy(config.policy, config.topo),
-          config.tracer);
+          config.topo, std::make_unique<FifoPolicy>(), config.tracer);
     case SchedulerKind::PTLockCentral:
       return std::make_unique<PTLockScheduler>(
-          config.topo, makePolicy(config.policy, config.topo),
-          config.spscCapacity, config.tracer);
+          config.topo, std::make_unique<FifoPolicy>(), config.spscCapacity,
+          config.tracer);
     case SchedulerKind::SyncDelegation:
       return std::make_unique<SyncScheduler>(
-          config.topo, makePolicy(config.policy, config.topo),
-          config.spscCapacity, config.tracer);
+          config.topo, std::make_unique<FifoPolicy>(), config.spscCapacity,
+          config.tracer);
     case SchedulerKind::WorkStealing:
       return std::make_unique<WorkStealingScheduler>(
           config.topo, config.spscCapacity, config.tracer);

@@ -27,19 +27,19 @@ void CentralMutexScheduler::addReadyTask(Task* task, std::size_t cpu) {
       tracer_->emit(cpu, TraceEvent::SchedLockContended, cpu);
       guard.lock();
     }
-    policy_->addTask(task, cpu);
+    policy_->addTask(task);
     return;
   }
   std::lock_guard<std::mutex> guard(mutex_);
-  policy_->addTask(task, cpu);
+  policy_->addTask(task);
 }
 
-Task* CentralMutexScheduler::getReadyTask(std::size_t cpu) {
+Task* CentralMutexScheduler::getReadyTask(std::size_t /*cpu*/) {
   // Same non-blocking get contract as every scheduler here: a busy lock
   // reads as "nothing ready yet" and the worker polls again.
   std::unique_lock<std::mutex> guard(mutex_, std::try_to_lock);
   if (!guard.owns_lock()) return nullptr;
-  return policy_->getTask(cpu);
+  return policy_->getTask();
 }
 
 }  // namespace ats

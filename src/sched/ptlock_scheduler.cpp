@@ -10,9 +10,9 @@
 namespace ats {
 
 namespace {
-/// Cap on the own-domain burst drain in getReadyTask, bounding work done
-/// per lock hold.
-constexpr std::size_t kLocalDrainBurst = 64;
+/// Cap on the first drain in getReadyTask, bounding work done per lock
+/// hold.
+constexpr std::size_t kDrainBurst = 64;
 }  // namespace
 
 PTLockScheduler::PTLockScheduler(Topology topo,
@@ -22,10 +22,9 @@ PTLockScheduler::PTLockScheduler(Topology topo,
     // Waiting-array slots must cover every thread that can contend; size
     // for at least the topology and leave headroom for oversubscription.
     : Scheduler(tracer),
-      topo_(std::move(topo)),
-      lock_(std::max<std::size_t>(64, topo_.slotCount() * 2)),
+      lock_(std::max<std::size_t>(64, topo.slotCount() * 2)),
       policy_(std::move(policy)),
-      addBuffers_(topo_, spscCapacity) {}
+      addBuffers_(topo, spscCapacity) {}
 
 void PTLockScheduler::addReadyTask(Task* task, std::size_t cpu) {
   assert(cpu < addBuffers_.numCpus());
@@ -42,12 +41,10 @@ void PTLockScheduler::addReadyTask(Task* task, std::size_t cpu) {
     // fires once per retry poll while the ring stays full.
     ATS_FAILPOINT(addbuf_overflow);
     if (lock_.tryLock()) {
-      // Our own domain's shard is enough to empty the full ring; other
-      // domains' adds stay put until a getter goes dry (flat fallback
-      // below), keeping the overflow drain off remote cache lines.
-      emitDrain(cpu,
-                addBuffers_.drainDomain(*policy_, topo_.domainOfSlot(cpu)));
-      policy_->addTask(task, cpu);
+      // Unbounded, so our full ring is empty before our task goes in
+      // behind it.
+      emitDrain(cpu, addBuffers_.drainInto(*policy_));
+      policy_->addTask(task);
       lock_.unlock();
       return;
     }
@@ -70,15 +67,13 @@ Task* PTLockScheduler::getReadyTask(std::size_t cpu) {
   // contention event here: get-side lock misses happen at poll frequency
   // and the starvation they cause is already visible as WorkerIdle*.
   if (!lock_.tryLock()) return nullptr;
-  // Getter's own-domain shard first (bounded): the sharded §3.1 drain.
-  // The flat everything-pass runs only when the policy is dry, so a
-  // domain with producers but no getters can never strand its adds.
-  emitDrain(cpu, addBuffers_.drainDomain(*policy_, topo_.domainOfSlot(cpu),
-                                         kLocalDrainBurst));
-  Task* task = policy_->getTask(cpu);
+  // Bounded drain first; the unbounded pass runs only when the policy is
+  // still dry, so no published add is ever stranded.
+  emitDrain(cpu, addBuffers_.drainInto(*policy_, kDrainBurst));
+  Task* task = policy_->getTask();
   if (task == nullptr) {
     emitDrain(cpu, addBuffers_.drainInto(*policy_));
-    task = policy_->getTask(cpu);
+    task = policy_->getTask();
   }
   lock_.unlock();
   return task;

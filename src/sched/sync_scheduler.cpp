@@ -34,13 +34,10 @@ void SyncScheduler::addReadyTask(Task* task, std::size_t cpu) {
   // throw here would lose the task (see DESIGN.md "Failure domains").
   ATS_FAILPOINT(addbuf_overflow);
   lock_.lock();
-  // The full ring is ours, and so is its whole domain shard: draining it
-  // (unbounded) empties our ring without pulling every other domain's
-  // cache lines through this core.  Other domains' adds keep riding
-  // their rings until a getter goes dry and runs the flat fallback in
-  // getReadyTask.
-  emitDrain(cpu, addBuffers_.drainDomain(*policy_, topo_.domainOfSlot(cpu)));
-  policy_->addTask(task, cpu);
+  // Unbounded: the full ring is ours and must be emptied before our
+  // task goes in behind it, or this producer's adds would reorder.
+  emitDrain(cpu, addBuffers_.drainInto(*policy_));
+  policy_->addTask(task);
   serveWaiters(cpu);
   lock_.unlock();
 }
@@ -51,17 +48,13 @@ Task* SyncScheduler::getReadyTask(std::size_t cpu) {
   if (!lock_.lockOrDelegate(cpu, item)) {
     return reinterpret_cast<Task*>(item);  // served by the lock holder
   }
-  // Own-domain shard first, bounded: the holder is its own first waiter,
-  // and a NUMA-aware policy will hand back what this drain just filed
-  // locally.  Only when the policy is dry after that does the flat pass
-  // run — the guarantee that a domain with producers but no getters
-  // still drains.
-  emitDrain(cpu, addBuffers_.drainDomain(*policy_, topo_.domainOfSlot(cpu),
-                                         kServeBurst));
-  Task* task = policy_->getTask(cpu);
+  // A bounded drain first, so one hold does not turn into a drain loop;
+  // only when the policy is dry after that does the unbounded pass run.
+  emitDrain(cpu, addBuffers_.drainInto(*policy_, kServeBurst));
+  Task* task = policy_->getTask();
   if (task == nullptr) {
     emitDrain(cpu, addBuffers_.drainInto(*policy_));
-    task = policy_->getTask(cpu);
+    task = policy_->getTask();
   }
   serveWaiters(cpu);
   lock_.unlock();
@@ -80,89 +73,38 @@ void SyncScheduler::serveWaiters(std::size_t cpu) {
   std::uint64_t waiterCpus[kServeBurst];
   Task* tasks[kServeBurst];
   std::uintptr_t items[kServeBurst];
-  std::uint8_t waiterDomain[kServeBurst];
-  std::size_t groupIdx[kServeBurst];
-  const std::size_t holderDomain = topo_.domainOfSlot(cpu);
   bool refilled = false;
   std::size_t served = 0;
   while (served < maxServes) {
     const std::size_t want = std::min(kServeBurst, maxServes - served);
     const std::size_t n = lock_.popWaiters(waiterCpus, want);
     if (n == 0) break;
-    std::uint64_t localGot = 0;
-    std::uint64_t remoteGot = 0;
-    std::size_t totalGot = 0;
-    // Group the popped batch by NUMA domain and make one bulk pull per
-    // group from the GROUP's own view, so a NUMA-aware policy hands each
-    // waiter its own domain's tasks.  Answers are assembled into `items`
-    // in pop order and still published behind ONE release fence (the
-    // single serveBatch below) — the grouping only changes which pull
-    // fills which slot, not the §8 publication protocol.
-    bool grouped[kServeBurst] = {};
-    for (std::size_t i = 0; i < n; ++i) {
-      items[i] = 0;
-      waiterDomain[i] = static_cast<std::uint8_t>(
-          topo_.domainOfSlot(static_cast<std::size_t>(waiterCpus[i])));
+    // One bulk pull for the whole batch.  Short: top the policy up with a
+    // bounded drain and pull again; still short: one unbounded refill per
+    // lock hold.
+    std::size_t got = policy_->getTasks(tasks, n);
+    if (got < n) {
+      emitDrain(cpu, addBuffers_.drainInto(*policy_, kServeBurst));
+      got += policy_->getTasks(tasks + got, n - got);
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (grouped[i]) continue;
-      const std::uint8_t domain = waiterDomain[i];
-      std::size_t m = 0;
-      for (std::size_t j = i; j < n; ++j) {
-        if (!grouped[j] && waiterDomain[j] == domain) {
-          grouped[j] = true;
-          groupIdx[m++] = j;
-        }
-      }
-      const std::size_t waiterView = static_cast<std::size_t>(waiterCpus[i]);
-      std::size_t got = policy_->getTasks(tasks, m, waiterView);
-      if (got < m) {
-        // Short for this group: drain the WAITERS' domain's shard
-        // (bounded, so one group cannot turn the hold into a drain loop)
-        // and retry before touching any other domain.
-        emitDrain(cpu, addBuffers_.drainDomain(*policy_, domain, kServeBurst));
-        got += policy_->getTasks(tasks + got, m - got, waiterView);
-      }
-      for (std::size_t k = 0; k < got; ++k) {
-        items[groupIdx[k]] = reinterpret_cast<std::uintptr_t>(tasks[k]);
-      }
-      localGot += got;  // pulled with the waiters' own locality view
-      totalGot += got;
-    }
-    if (totalGot < n && !refilled) {
-      // Some waiters still have no answer and their domains' shards are
-      // dry: one flat refill per lock hold, then one holder-view pull for
-      // the leftovers.  These are the potentially cross-domain hand-offs
-      // the trace payload records.
+    if (got < n && !refilled) {
       refilled = true;
       emitDrain(cpu, addBuffers_.drainInto(*policy_));
-      std::size_t unfilled[kServeBurst];
-      std::size_t m = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (items[i] == 0) unfilled[m++] = i;
-      }
-      const std::size_t got = policy_->getTasks(tasks, m, cpu);
-      for (std::size_t k = 0; k < got; ++k) {
-        const std::size_t i = unfilled[k];
-        items[i] = reinterpret_cast<std::uintptr_t>(tasks[k]);
-        if (waiterDomain[i] == static_cast<std::uint8_t>(holderDomain)) {
-          ++localGot;
-        } else {
-          ++remoteGot;
-        }
-      }
-      totalGot += got;
+      got += policy_->getTasks(tasks + got, n - got);
+    }
+    // Waiters past `got` are answered 0 ("nothing ready").  Every answer
+    // is published behind ONE release fence (the §8 protocol).
+    for (std::size_t i = 0; i < n; ++i) {
+      items[i] = i < got ? reinterpret_cast<std::uintptr_t>(tasks[i]) : 0;
     }
     lock_.serveBatch(waiterCpus, items, n);
-    // One coalesced SchedServe per batch, the local/remote hand-off
-    // split packed as payload — and only when something was actually
-    // handed off (idle waiters re-delegate continuously; see the
-    // Scheduler contract).
-    if (tracer_ != nullptr && totalGot != 0)
-      tracer_->emit(cpu, TraceEvent::SchedServe,
-                    packServePayload(localGot, remoteGot));
+    // One coalesced SchedServe per batch, payload = tasks handed off —
+    // and only when something was actually handed off (idle waiters
+    // re-delegate continuously; see the Scheduler contract).
+    if (tracer_ != nullptr && got != 0)
+      tracer_->emit(cpu, TraceEvent::SchedServe, got);
     served += n;
-    if (totalGot < n) break;  // policy dry even after the one refill
+    if (got < n) break;  // policy dry even after the one refill
   }
 }
 

@@ -182,58 +182,10 @@ TEST(PoolAllocatorTest, ReuseAfterFreeIsPoisoned) {
   pool.setPoisoning(wasPoisoning);
 }
 
-TEST(PoolAllocatorTest, ThreadDomainRoutesDepotTrafficToItsShard) {
-  onFreshThread([] {
-    PoolAllocator& pool = PoolAllocator::instance();
-    constexpr std::size_t kSize = 6000;
-    constexpr std::size_t kShard = 3;
-
-    // Fresh threads start on shard 0; rebinding to domain 3 must move
-    // this thread's flush traffic onto shard 3 and leave the rest alone.
-    EXPECT_EQ(pool.testCallerDepotShard(), 0u);
-    pool.setThreadDomain(kShard);
-    EXPECT_EQ(pool.testCallerDepotShard(), kShard);
-
-    std::size_t othersBefore = 0;
-    for (std::size_t s = 0; s < PoolAllocator::kNumDepotShards; ++s) {
-      if (s != kShard) othersBefore += pool.testDepotFreeOnShard(kSize, s);
-    }
-    const std::size_t shardBefore = pool.testDepotFreeOnShard(kSize, kShard);
-
-    // Overfill one magazine so freeing everything spills kFlushBatch
-    // blocks into the depot — all of it on OUR shard.
-    constexpr std::size_t kLive = PoolAllocator::kMagazineCapacity + 8;
-    void* live[kLive];
-    for (void*& p : live) p = pool.allocate(kSize);
-    for (void* p : live) pool.deallocate(p, kSize);
-
-    EXPECT_GE(pool.testDepotFreeOnShard(kSize, kShard),
-              shardBefore + PoolAllocator::kFlushBatch);
-    std::size_t othersAfter = 0;
-    for (std::size_t s = 0; s < PoolAllocator::kNumDepotShards; ++s) {
-      if (s != kShard) othersAfter += pool.testDepotFreeOnShard(kSize, s);
-    }
-    EXPECT_EQ(othersAfter, othersBefore)
-        << "a domain-bound thread leaked depot traffic onto foreign shards";
-  });
-}
-
-TEST(PoolAllocatorTest, ThreadDomainWrapsAroundTheShardCount) {
-  onFreshThread([] {
-    PoolAllocator& pool = PoolAllocator::instance();
-    // More domains than shards (a 16-domain box, say) must fold modulo
-    // kNumDepotShards, never index out of the shard array.
-    pool.setThreadDomain(PoolAllocator::kNumDepotShards + 2);
-    EXPECT_EQ(pool.testCallerDepotShard(), 2u);
-    pool.setThreadDomain(0);
-    EXPECT_EQ(pool.testCallerDepotShard(), 0u);
-  });
-}
-
-/// Four threads on four distinct shards churning the same size class:
-/// shards must keep them off each other's locks (TSan co-asserts the
-/// locking is still right) and blocks must keep round-tripping — the
-/// sharding must not turn recycling into unbounded slab growth.
+/// Four threads churning the same size class through the one depot, each
+/// overflowing its magazine every round: TSan co-asserts the depot
+/// locking, and blocks must keep round-tripping — recycling must not
+/// turn into unbounded slab growth.
 TEST(PoolAllocatorTest, CrossDomainChurnConservesBlocksAcrossShards) {
   PoolAllocator& pool = PoolAllocator::instance();
   constexpr std::size_t kSize = 3000;
@@ -245,8 +197,7 @@ TEST(PoolAllocatorTest, CrossDomainChurnConservesBlocksAcrossShards) {
   std::vector<std::thread> churners;
   churners.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    churners.emplace_back([&pool, t] {
-      pool.setThreadDomain(static_cast<std::size_t>(t));
+    churners.emplace_back([&pool] {
       std::vector<void*> live(kLive);
       for (int round = 0; round < kRounds; ++round) {
         for (void*& p : live) p = pool.allocate(kSize);
@@ -257,10 +208,10 @@ TEST(PoolAllocatorTest, CrossDomainChurnConservesBlocksAcrossShards) {
   for (std::thread& t : churners) t.join();
 
   // Each thread held kLive blocks at once; growth must reflect that
-  // window times the shard count, not the round count.
+  // window times the thread count, not the round count.
   const std::size_t grown = pool.reservedBytes() - reservedBefore;
   EXPECT_LT(grown, 16u * 1024 * 1024)
-      << "per-domain shards are hoarding instead of recycling";
+      << "the depot is hoarding instead of recycling";
 }
 
 /// 8-thread cross-thread free stress: T0 allocates task-descriptor-

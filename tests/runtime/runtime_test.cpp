@@ -210,51 +210,44 @@ TEST_P(RuntimeMatrixTest, TaskBodiesSpawningChildrenAreAllAwaited) {
   }
 }
 
-/// The SyncDelegation scheduler's policy and topology dimensions: every
-/// PolicyKind on the one-domain Host shape and on the Rome preset (8
-/// domains at full width, several at 8 workers), on the optimized
-/// WaitFreeAsm runtime under 8 workers.  The domain-grouped batched
-/// serve must keep the conservation and ordering laws whatever the
-/// policy and however many domains a popped batch spans.
-using SchedShape = std::tuple<MachinePreset, PolicyKind>;
+/// The SyncDelegation scheduler (FIFO policy) across preset and worker
+/// count on the optimized WaitFreeAsm runtime: Host at 8 workers (many
+/// concurrent delegating getters, so serve batches run deep), the Rome
+/// preset at 16 (twice as many getters, oversubscribing any small host)
+/// and Host at 2 (the spawner is a large share of the traffic).  The
+/// batched serve must keep the conservation and ordering laws at every
+/// width.
+using SchedShape = std::tuple<MachinePreset, std::size_t>;
 
 class SchedMatrixTest : public ::testing::TestWithParam<SchedShape> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, SchedMatrixTest,
-    ::testing::Combine(::testing::Values(MachinePreset::Host,
-                                         MachinePreset::Rome),
-                       ::testing::Values(PolicyKind::Fifo, PolicyKind::Lifo,
-                                         PolicyKind::NumaFifo)),
+    ::testing::Values(SchedShape{MachinePreset::Host, 8},
+                      SchedShape{MachinePreset::Rome, 16},
+                      SchedShape{MachinePreset::Host, 2}),
     [](const auto& info) {
-      std::string name = std::get<0>(info.param) == MachinePreset::Host
-                             ? "Host_"
-                             : "Rome_";
-      switch (std::get<1>(info.param)) {
-        case PolicyKind::Fifo: return name + "Fifo";
-        case PolicyKind::Lifo: return name + "Lifo";
-        case PolicyKind::NumaFifo: return name + "NumaFifo";
-      }
-      return name + "Unknown";
+      const bool host = std::get<0>(info.param) == MachinePreset::Host;
+      std::string name = host ? "Host" : "Rome";
+      if (host && std::get<1>(info.param) != 8)
+        name += std::to_string(std::get<1>(info.param));
+      return name + "_Fifo";
     });
 
 RuntimeConfig schedMatrixConfig(const SchedShape& shape) {
-  const auto [preset, policy] = shape;
-  RuntimeConfig config = optimizedConfig(makeTopology(preset, 8));
-  config.policy = policy;
-  return config;
+  const auto [preset, workers] = shape;
+  return optimizedConfig(makeTopology(preset, workers));
 }
 
 TEST_P(SchedMatrixTest, SpawnTaskwaitConservesEveryTaskExactlyOnce) {
   constexpr int kTasks = 2000;
   RuntimeConfig config = schedMatrixConfig(GetParam());
-  // Small buffers so the (domain-sharded) overflow help-drain runs
-  // constantly.
+  // Small buffers so the overflow help-drain runs constantly.
   config.spscCapacity = 32;
   Runtime rt(config);
 
   // Two batches so the second exercises descriptor recycling through the
-  // domain-sharded pool depots too.
+  // pool depot too.
   for (int batch = 0; batch < 2; ++batch) {
     std::vector<std::atomic<int>> ran(kTasks);
     std::atomic<int> total{0};
@@ -279,12 +272,10 @@ TEST_P(SchedMatrixTest, InoutChainStaysStrictlyOrdered) {
   constexpr int kLinks = 300;
   Runtime rt(schedMatrixConfig(GetParam()));
 
-  // Dependency order must override ANY ready-queue policy and survive
-  // the domain-grouped serve: the chain admits one ready task at a time,
-  // so even LIFO cannot reorder it, and a group answered from its own
-  // domain's view must never let a link start before its predecessor's
-  // release publishes the chain.  TSan would flag overlap if a policy
-  // handed a task out twice.
+  // Dependency order must survive the batched serve: the chain admits
+  // one ready task at a time, and a served waiter must never start a
+  // link before its predecessor's release publishes the chain.  TSan
+  // would flag overlap if a task were handed out twice.
   long long counter = 0;
   std::vector<long long> observed(kLinks, -1);
   for (int i = 0; i < kLinks; ++i) {
@@ -414,11 +405,9 @@ TEST(RuntimeConfigTest, MachinePresetConfigsShareConsistentDefaults) {
     EXPECT_EQ(config->scheduler, reference.scheduler);
     EXPECT_EQ(config->deps, reference.deps);
     EXPECT_EQ(config->usePoolAllocator, reference.usePoolAllocator);
-    EXPECT_EQ(config->policy, reference.policy);
     EXPECT_EQ(config->spscCapacity, reference.spscCapacity);
     EXPECT_EQ(config->tracer, reference.tracer);  // factories never attach one
   }
-  EXPECT_EQ(reference.policy, PolicyKind::Fifo);
   EXPECT_EQ(xeon.topo.preset, MachinePreset::Xeon);
   EXPECT_EQ(rome.topo.preset, MachinePreset::Rome);
   EXPECT_EQ(graviton.topo.preset, MachinePreset::Graviton);
