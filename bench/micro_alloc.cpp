@@ -59,7 +59,9 @@ void BM_AllocWindow_System(benchmark::State& state) {
 
 // Cross-thread free: thread 0 allocates and ships; thread 1 frees — the
 // pattern task disposal creates (a successor's releasing thread frees the
-// predecessor's descriptor).
+// predecessor's descriptor).  The pool stashes each freed block in thread
+// 1's own magazine; full magazines flush to the depot's pointer array and
+// thread 0's empty ones refill from it, one lock hold per batch.
 void crossFree(benchmark::State& state, Allocator& alloc) {
   static SpscQueue<void*> pipe(1024);
   if (state.thread_index() == 0) {

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "locks/locks.hpp"
@@ -15,36 +14,32 @@ class PoolThreadCache;
 /// The §4 thread-caching scalable allocator (the jemalloc role in the
 /// paper's ablation), specialized for task-descriptor-sized churn.
 ///
-/// Three tiers, hot to cold:
+/// Two tiers, hot to cold:
 ///
 ///   * **Magazines** — per-thread, per-size-class LIFO arrays of free
-///     blocks.  The hot path (allocate/free on the same thread) is a
-///     bump of a thread-local counter: no atomics, no locks, no shared
-///     cache lines.
-///   * **Remote-free lists** — one Treiber stack per thread cache.  A
-///     block freed on a thread other than its allocator goes back to
-///     the *owning* thread's remote list with one release-CAS (the
-///     producer/consumer `crossFree` shape: a successor's releasing
-///     thread frees the predecessor's descriptor).  The owner drains
-///     the whole list with a single exchange the next time a magazine
-///     runs dry, so cross-thread frees never contend on a global lock.
-///   * **Central depot** — per-size-class freelist under a SpinLock,
-///     refilled by carving chunked slabs from operator new.  Magazines
-///     refill from and overflow to the depot in batches of
-///     kRefillBatch/kFlushBatch, so depot lock traffic is 1/batch of
-///     the allocation rate.
+///     blocks.  Every free stashes the block in the *calling* thread's
+///     magazine, whichever thread allocated it (the `crossFree` shape: a
+///     successor's releasing thread frees the predecessor's descriptor),
+///     so both hot paths are a bump of a thread-local counter: no
+///     atomics, no locks, no shared cache lines.
+///   * **Central depot** — per-size-class contiguous array of block
+///     pointers under a SpinLock, grown by carving chunked slabs from
+///     operator new.  Magazines refill from and overflow to the depot by
+///     copying kRefillBatch/kFlushBatch pointers, so depot lock traffic
+///     is 1/batch of the allocation rate and no block memory is read or
+///     written under the lock.
 ///
-/// Every block carries a 16-byte header (owning thread cache + size
-/// class), so `deallocate` finds the owner without any lookup and the
-/// user area stays kAlignment-aligned.  Requests too large for the
-/// class table fall through to operator new.
+/// Every block carries a 16-byte header (size class + canary, padded so
+/// the user area stays kAlignment-aligned), stamped once at carve time:
+/// `deallocate` learns the class from it, and no allocation writes it.
+/// Requests too large for the class table fall through to operator new.
 ///
-/// Thread caches are adopted, not destroyed: a cache whose thread exits
-/// flushes its magazines to the depot and parks on an inactive list for
-/// the next new thread, so its remote-free list keeps accepting frees
-/// from surviving threads.  The singleton itself is intentionally
-/// leaked — thread-local cache destructors may run arbitrarily late in
-/// shutdown and must always find it alive.
+/// A thread's cache is created on its first pool call (a free counts)
+/// and deleted at thread exit after flushing every magazine to the
+/// depots; a free that arrives later on that thread (another TLS
+/// destructor) goes straight to the depot.  The singleton itself is
+/// intentionally leaked — thread-local cache destructors may run
+/// arbitrarily late in shutdown and must always find it alive.
 ///
 /// Freed blocks are poisoned with kPoisonByte (default: on in debug
 /// builds, off in NDEBUG, toggleable at runtime) so use-after-free of a
@@ -52,7 +47,7 @@ class PoolThreadCache;
 /// plausible data.
 class PoolAllocator final : public Allocator {
  public:
-  /// Per-block bookkeeping prefix (owner cache + size class).
+  /// Per-block bookkeeping prefix (size class + canary + padding).
   static constexpr std::size_t kHeaderBytes = 16;
 
   /// Size classes run 32B..8KiB in ~1.5x steps; requests over
@@ -93,12 +88,10 @@ class PoolAllocator final : public Allocator {
   }
 
   /// Test/stats introspection: the calling thread's current magazine
-  /// fill for the class serving `userSize`, blocks parked in that
-  /// class's central depot, and blocks other threads have pushed to the
-  /// calling thread's remote-free list.
+  /// fill for the class serving `userSize`, and blocks parked in that
+  /// class's central depot.
   std::size_t testLocalMagazineFill(std::size_t userSize);
   std::size_t testDepotFree(std::size_t userSize);
-  std::size_t testRemotePendingOnCaller();
 
  private:
   friend class PoolThreadCache;
@@ -106,27 +99,24 @@ class PoolAllocator final : public Allocator {
   PoolAllocator();
   ~PoolAllocator() override = default;
 
+  /// One size class's free blocks.  `free.capacity()` never falls below
+  /// `carved`, the blocks ever carved for the class, so a flush never
+  /// allocates.
   struct alignas(64) Depot {
     SpinLock lock;
-    void* freeHead = nullptr;
-    std::size_t freeCount = 0;
+    std::vector<void*> free;
+    std::size_t carved = 0;
   };
 
-  PoolThreadCache& localCache();
-  void refill(PoolThreadCache& cache, std::size_t cls);
-  void drainRemote(PoolThreadCache& cache);
-  void stashInMagazine(PoolThreadCache& cache, std::size_t cls,
-                       void* block);
-  void flushFromMagazine(std::size_t cls, void** blocks, std::size_t count);
-  // That class's depot lock must be held by the caller.
-  void carveChunk(std::size_t cls);
-  void retireCache(PoolThreadCache* cache);
+  /// The calling thread's cache, created on first use; nullptr once the
+  /// thread's cache has retired at exit (or could not be created).
+  PoolThreadCache* localCache();
+  void takeFromDepot(std::size_t cls, void** out, std::size_t count);
+  void flushToDepot(std::size_t cls, void* const* blocks, std::size_t count);
+  // The depot's lock must be held by the caller.
+  void carveChunk(Depot& depot, std::size_t cls);
 
   Depot depots_[kNumClasses];
-
-  SpinLock cacheLock_;
-  std::vector<std::unique_ptr<PoolThreadCache>> caches_;
-  PoolThreadCache* inactiveHead_ = nullptr;
 
   SpinLock chunkLock_;
   std::vector<void*> chunks_;

@@ -227,7 +227,6 @@ class Runtime {
   std::uint64_t tasksInFlight() const;
   std::string watchdogReport() const;
 
-  static void completeThunk(Task& task);
   static void reclaimThunk(DepTask& task);
   static void readyThunk(void* ctx, DepTask* task, std::size_t cpu);
 

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdio>
-#include <cstdlib>
 
 #include "deps/dep_task.hpp"
 
@@ -29,37 +27,8 @@ struct Task : DepTask {
   void (*invoker)(Task& task) = nullptr;
   void (*closureDestroy)(Task& task) = nullptr;
 
-  /// Completion hook installed by the owning Runtime at spawn.
-  void (*onComplete)(Task& task) = nullptr;
+  /// The owning Runtime, set at allocation; the reclaim hook reads it.
   void* runtime = nullptr;
-
-  /// Execute the task to completion:
-  ///
-  ///   1. run the body exactly once (closure if installed, else the raw
-  ///      function pointer);
-  ///   2. run the completion hook, which destroys the closure, releases
-  ///      the task's dependency accesses — readying successors into the
-  ///      scheduler — and drops the execution reference.  The descriptor
-  ///      is reclaimed EAGERLY the moment its refcount drains (see
-  ///      DepTask::refCount): release-path code must never touch another
-  ///      task's access nodes after resolving it.
-  ///
-  /// A task with neither closure nor raw body is a misconfigured bench or
-  /// runtime bug; that used to no-op silently, now it fails loudly.
-  void run() {
-    if (invoker != nullptr) {
-      invoker(*this);
-    } else if (body != nullptr) {
-      body(arg);
-    } else {
-      std::fprintf(stderr,
-                   "ats::Task::run(): task %p has neither a closure nor a "
-                   "raw body — misconfigured bench or spawn path\n",
-                   static_cast<void*>(this));
-      std::abort();
-    }
-    if (onComplete != nullptr) onComplete(*this);
-  }
 };
 
 }  // namespace ats

@@ -1,5 +1,6 @@
 #include "memory/pool_allocator.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstdint>
@@ -40,22 +41,6 @@ std::size_t classIndexFor(std::size_t need) {
   return kClassLut[(need + 15) / 16];
 }
 
-/// Freelist links live in the first user word of a free block (the
-/// header stays intact so a drained remote block still knows its
-/// class).  memcpy keeps the type-punning defined; it compiles to one
-/// mov.
-void* readLink(void* block) {
-  void* next;
-  std::memcpy(&next, static_cast<char*>(block) + PoolAllocator::kHeaderBytes,
-              sizeof(void*));
-  return next;
-}
-
-void writeLink(void* block, void* next) {
-  std::memcpy(static_cast<char*>(block) + PoolAllocator::kHeaderBytes, &next,
-              sizeof(void*));
-}
-
 /// Target slab size; small classes get many blocks per chunk, the
 /// largest still gets 8.
 constexpr std::size_t kChunkTargetBytes = 64 * 1024;
@@ -68,18 +53,17 @@ constexpr bool kDefaultPoison = true;
 
 }  // namespace
 
-/// Per-block prefix.  `owner` is (re)stamped at every allocation, so a
-/// block always frees back toward the cache that last handed it out;
-/// `classIdx` is stamped once at carve time and never changes.
+/// Per-block prefix, stamped once at carve time and never written
+/// again: a block frees into whichever thread's magazine frees it, so
+/// nothing per allocation needs recording.
 struct BlockHeader {
-  PoolThreadCache* owner;
   std::uint32_t classIdx;
   std::uint32_t canary;
 
   static constexpr std::uint32_t kCanary = 0xA75A110C;
 };
 
-static_assert(sizeof(BlockHeader) == PoolAllocator::kHeaderBytes);
+static_assert(sizeof(BlockHeader) <= PoolAllocator::kHeaderBytes);
 static_assert(alignof(BlockHeader) <= PoolAllocator::kHeaderBytes);
 
 class PoolThreadCache {
@@ -91,42 +75,44 @@ class PoolThreadCache {
 
   Magazine mags[PoolAllocator::kNumClasses];
 
-  /// MPSC Treiber stack of blocks freed by other threads: anyone
-  /// pushes, only the owning thread drains (single exchange).
-  std::atomic<void*> remoteHead{nullptr};
+  PoolThreadCache() = default;
+  PoolThreadCache(const PoolThreadCache&) = delete;
+  PoolThreadCache& operator=(const PoolThreadCache&) = delete;
 
-  PoolThreadCache* nextInactive = nullptr;
-
-  /// Thread-exit hook target; lives here because PoolThreadCache is the
-  /// pool's named friend and the TLS holder below is not.
-  static void retire(PoolThreadCache* cache) {
-    PoolAllocator::instance().retireCache(cache);
+  /// Thread exit: every parked block goes back to its class's depot.
+  ~PoolThreadCache() {
+    PoolAllocator& pool = PoolAllocator::instance();
+    for (std::size_t cls = 0; cls < PoolAllocator::kNumClasses; ++cls) {
+      if (mags[cls].count != 0)
+        pool.flushToDepot(cls, mags[cls].slots, mags[cls].count);
+    }
   }
 };
 
 namespace {
 
-/// The calling thread's cache for the (singleton) pool.  The holder's
-/// destructor retires the cache at thread exit so its blocks go back to
-/// the depot instead of idling in dead magazines.
-thread_local struct TlsCacheSlot {
-  PoolThreadCache* cache = nullptr;
-  ~TlsCacheSlot() {
-    if (cache != nullptr) PoolThreadCache::retire(cache);
-    // Null the slot: a pool free from a later-running TLS destructor on
-    // this thread must take the remote path, not stash into a cache
-    // another thread may already have adopted.
-    cache = nullptr;
-  }
-} tlsCacheSlot;
+/// The calling thread's cache.  Plain trivially destructible TLS, so the
+/// hot paths read it without an init guard, and a TLS destructor that
+/// runs after the owner below still reads a live variable.
+thread_local PoolThreadCache* tlsCache = nullptr;
 
-void pushRemote(PoolThreadCache* owner, void* block) {
-  void* head = owner->remoteHead.load(std::memory_order_relaxed);
-  do {
-    writeLink(block, head);
-  } while (!owner->remoteHead.compare_exchange_weak(
-      head, block, std::memory_order_release, std::memory_order_relaxed));
-}
+/// Set when the owner below has retired this thread's cache.  A pool
+/// call after that (from a later TLS destructor) moves its block
+/// straight to or from the depot: a cache created now would never be
+/// retired.
+thread_local bool tlsCacheRetired = false;
+
+/// Constructed with the thread's cache; its destructor retires it at
+/// thread exit so parked blocks go back to the depot instead of idling
+/// in dead magazines.
+thread_local struct TlsCacheOwner {
+  PoolThreadCache* cache = nullptr;
+  ~TlsCacheOwner() {
+    tlsCache = nullptr;
+    tlsCacheRetired = true;
+    delete cache;
+  }
+} tlsCacheOwner;
 
 }  // namespace
 
@@ -144,39 +130,39 @@ std::size_t PoolAllocator::blockSizeFor(std::size_t userSize) {
   return kClassSizes[classIndexFor(userSize + kHeaderBytes)];
 }
 
-PoolThreadCache& PoolAllocator::localCache() {
-  PoolThreadCache* cache = tlsCacheSlot.cache;
-  if (cache == nullptr) {
-    std::lock_guard<SpinLock> guard(cacheLock_);
-    if (inactiveHead_ != nullptr) {
-      cache = inactiveHead_;
-      inactiveHead_ = cache->nextInactive;
-      cache->nextInactive = nullptr;
-    } else {
-      caches_.push_back(std::make_unique<PoolThreadCache>());
-      cache = caches_.back().get();
-    }
-    tlsCacheSlot.cache = cache;
+PoolThreadCache* PoolAllocator::localCache() {
+  PoolThreadCache* cache = tlsCache;
+  if (cache == nullptr && !tlsCacheRetired) [[unlikely]] {
+    // nothrow: a thread without a cache still works (one block at a
+    // time through the depot), so deallocate never throws.
+    cache = new (std::nothrow) PoolThreadCache;
+    tlsCacheOwner.cache = cache;
+    tlsCache = cache;
   }
-  return *cache;
+  return cache;
 }
 
 void* PoolAllocator::allocate(std::size_t size) {
   // Compare before adding the header: size + kHeaderBytes would wrap
   // for requests near SIZE_MAX and route them to a tiny class.
   if (size > kMaxPooledSize) return ::operator new(size);
-  const std::size_t need = size + kHeaderBytes;
+  const std::size_t cls = classIndexFor(size + kHeaderBytes);
 
-  const std::size_t cls = classIndexFor(need);
-  PoolThreadCache& cache = localCache();
-  auto& mag = cache.mags[cls];
-  if (mag.count == 0) refill(cache, cls);
-  void* block = mag.slots[--mag.count];
+  void* block;
+  if (PoolThreadCache* cache = localCache()) [[likely]] {
+    auto& mag = cache->mags[cls];
+    if (mag.count == 0) {
+      takeFromDepot(cls, mag.slots, kRefillBatch);
+      mag.count = kRefillBatch;
+    }
+    block = mag.slots[--mag.count];
+  } else {
+    takeFromDepot(cls, &block, 1);
+  }
 
-  auto* hdr = static_cast<BlockHeader*>(block);
+  [[maybe_unused]] auto* hdr = static_cast<BlockHeader*>(block);
   assert(hdr->canary == BlockHeader::kCanary);
   assert(hdr->classIdx == cls);
-  hdr->owner = &cache;
   return static_cast<char*>(block) + kHeaderBytes;
 }
 
@@ -198,28 +184,14 @@ void PoolAllocator::deallocate(void* ptr, std::size_t size) {
     std::memset(ptr, kPoisonByte, kClassSizes[cls] - kHeaderBytes);
   }
 
-  // Compare against the existing TLS cache WITHOUT materializing one: a
-  // thread that only ever frees (the pure consumer in crossFree) should
-  // not take the registry lock and own 17 empty magazines just to learn
-  // the block is not its own.
-  PoolThreadCache* mine = tlsCacheSlot.cache;
-  if (hdr->owner == mine && mine != nullptr) {
-    stashInMagazine(*mine, cls, block);
-  } else {
-    // Cross-thread free: hand the block back to its owner's remote
-    // list.  One release-CAS, no shared lock — the crossFree path.
-    pushRemote(hdr->owner, block);
+  PoolThreadCache* cache = localCache();
+  if (cache == nullptr) [[unlikely]] {
+    flushToDepot(cls, &block, 1);
+    return;
   }
-}
-
-/// Park a block in the cache's magazine for `cls`, spilling a batch to
-/// the depot first when full — the single spill policy shared by local
-/// frees and remote drains.
-void PoolAllocator::stashInMagazine(PoolThreadCache& cache, std::size_t cls,
-                                    void* block) {
-  auto& mag = cache.mags[cls];
+  auto& mag = cache->mags[cls];
   if (mag.count == kMagazineCapacity) {
-    flushFromMagazine(cls, mag.slots, kFlushBatch);
+    flushToDepot(cls, mag.slots, kFlushBatch);
     std::memmove(mag.slots, mag.slots + kFlushBatch,
                  (kMagazineCapacity - kFlushBatch) * sizeof(void*));
     mag.count = kMagazineCapacity - kFlushBatch;
@@ -227,63 +199,45 @@ void PoolAllocator::stashInMagazine(PoolThreadCache& cache, std::size_t cls,
   mag.slots[mag.count++] = block;
 }
 
-void PoolAllocator::refill(PoolThreadCache& cache, std::size_t cls) {
-  // Remote blocks first: they are already ours and draining them is a
-  // single exchange.  Only when that leaves the magazine still empty do
-  // we pay for the depot lock.
-  drainRemote(cache);
-  auto& mag = cache.mags[cls];
-  if (mag.count != 0) return;
-
+void PoolAllocator::takeFromDepot(std::size_t cls, void** out,
+                                  std::size_t count) {
   Depot& depot = depots_[cls];
   std::lock_guard<SpinLock> guard(depot.lock);
-  // Top up before taking so a refill always moves a full batch — chunk
-  // carving guarantees at least kRefillBatch fresh blocks.
-  if (depot.freeCount < kRefillBatch) carveChunk(cls);
-  std::size_t take = kRefillBatch;
-  for (; take > 0; --take) {
-    void* block = depot.freeHead;
-    depot.freeHead = readLink(block);
-    --depot.freeCount;
-    mag.slots[mag.count++] = block;
-  }
+  // Top up before taking: one carve always covers one refill batch.
+  if (depot.free.size() < count) carveChunk(depot, cls);
+  const auto first = depot.free.end() - static_cast<std::ptrdiff_t>(count);
+  std::copy(first, depot.free.end(), out);
+  depot.free.erase(first, depot.free.end());
 }
 
-void PoolAllocator::drainRemote(PoolThreadCache& cache) {
-  void* head = cache.remoteHead.exchange(nullptr, std::memory_order_acquire);
-  if (head == nullptr) return;
-
-  while (head != nullptr) {
-    void* next = readLink(head);
-    stashInMagazine(cache, static_cast<BlockHeader*>(head)->classIdx,
-                    head);
-    head = next;
-  }
-}
-
-void PoolAllocator::flushFromMagazine(std::size_t cls, void** blocks,
-                                      std::size_t count) {
+void PoolAllocator::flushToDepot(std::size_t cls, void* const* blocks,
+                                 std::size_t count) {
   Depot& depot = depots_[cls];
   std::lock_guard<SpinLock> guard(depot.lock);
-  for (std::size_t i = 0; i < count; ++i) {
-    writeLink(blocks[i], depot.freeHead);
-    depot.freeHead = blocks[i];
-    ++depot.freeCount;
-  }
+  // Each block was carved here first, and capacity covers every carved
+  // block, so this insert never reallocates.
+  assert(depot.free.size() + count <= depot.free.capacity());
+  depot.free.insert(depot.free.end(), blocks, blocks + count);
 }
 
-void PoolAllocator::carveChunk(std::size_t cls) {
-  // Failpoint: models chunk-reservation failure (the OOM drill).  Throw
-  // mode is exception-safe HERE — the guards below unwind and nothing
-  // is half-linked — but only spawn-path callers (allocateTask, closure
-  // spill) translate the throw into a clean spawn failure.
+void PoolAllocator::carveChunk(Depot& depot, std::size_t cls) {
+  // Failpoint: models chunk-reservation failure (the OOM drill).  A
+  // throw here, or a bad_alloc below, leaves the depot's blocks as they
+  // were; only spawn-path callers (allocateTask, closure spill)
+  // translate the throw into a clean spawn failure.
   ATS_FAILPOINT(pool_carve);
   const std::size_t blockSize = kClassSizes[cls];
-  std::size_t blocks = kChunkTargetBytes / blockSize;
   // Never carve less than a refill batch, so one carve always satisfies
   // one refill even for the largest classes.
-  if (blocks < kRefillBatch) blocks = kRefillBatch;
+  const std::size_t blocks =
+      std::max(kChunkTargetBytes / blockSize, kRefillBatch);
   const std::size_t bytes = blocks * blockSize;
+
+  // Grow the pointer array geometrically BEFORE carving, so capacity
+  // covers every block that will exist and a flush never allocates.
+  const std::size_t carved = depot.carved + blocks;
+  if (carved > depot.free.capacity())
+    depot.free.reserve(std::max(carved, 2 * depot.free.capacity()));
 
   // operator new returns max_align_t-aligned storage and the class
   // sizes are multiples of 16, so every carved block (and its +16 user
@@ -295,58 +249,28 @@ void PoolAllocator::carveChunk(std::size_t cls) {
   }
   reservedBytes_.fetch_add(bytes, std::memory_order_relaxed);
 
-  Depot& depot = depots_[cls];
+  depot.carved = carved;
   for (std::size_t i = 0; i < blocks; ++i) {
-    void* block = chunk + i * blockSize;
-    auto* hdr = static_cast<BlockHeader*>(block);
-    hdr->owner = nullptr;
+    auto* hdr = reinterpret_cast<BlockHeader*>(chunk + i * blockSize);
     hdr->classIdx = static_cast<std::uint32_t>(cls);
     hdr->canary = BlockHeader::kCanary;
-    writeLink(block, depot.freeHead);
-    depot.freeHead = block;
-    ++depot.freeCount;
+    depot.free.push_back(hdr);
   }
-}
-
-void PoolAllocator::retireCache(PoolThreadCache* cache) {
-  // Whatever the remote list holds right now can go home with the
-  // magazines; anything pushed after the exchange waits for the next
-  // thread that adopts this cache.
-  drainRemote(*cache);
-  for (std::size_t cls = 0; cls < kNumClasses; ++cls) {
-    auto& mag = cache->mags[cls];
-    if (mag.count != 0) {
-      flushFromMagazine(cls, mag.slots, mag.count);
-      mag.count = 0;
-    }
-  }
-  std::lock_guard<SpinLock> guard(cacheLock_);
-  cache->nextInactive = inactiveHead_;
-  inactiveHead_ = cache;
 }
 
 std::size_t PoolAllocator::testLocalMagazineFill(std::size_t userSize) {
   if (userSize > kMaxPooledSize) return 0;
-  return localCache().mags[classIndexFor(userSize + kHeaderBytes)].count;
+  PoolThreadCache* cache = localCache();
+  return cache == nullptr
+             ? 0
+             : cache->mags[classIndexFor(userSize + kHeaderBytes)].count;
 }
 
 std::size_t PoolAllocator::testDepotFree(std::size_t userSize) {
   if (userSize > kMaxPooledSize) return 0;
   Depot& depot = depots_[classIndexFor(userSize + kHeaderBytes)];
   std::lock_guard<SpinLock> guard(depot.lock);
-  return depot.freeCount;
-}
-
-std::size_t PoolAllocator::testRemotePendingOnCaller() {
-  // Walking the list is safe on the owner's thread: only the owner
-  // drains it, and a pusher links its block before the release CAS
-  // that publishes it, so every link reached here is final.
-  std::size_t pending = 0;
-  for (void* block =
-           localCache().remoteHead.load(std::memory_order_acquire);
-       block != nullptr; block = readLink(block))
-    ++pending;
-  return pending;
+  return depot.free.size();
 }
 
 }  // namespace ats

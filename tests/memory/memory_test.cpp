@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.hpp"
 #include "containers/mpmc_queue.hpp"
 #include "memory/system_allocator.hpp"
 
@@ -126,37 +127,87 @@ TEST(PoolAllocatorTest, MagazineOverflowFlushesBatchToDepot) {
   });
 }
 
-TEST(PoolAllocatorTest, RemoteFreesDrainOnRefill) {
+/// A free stashes the block in the FREEING thread's magazine, whichever
+/// thread allocated it: the freeing thread's next allocation returns
+/// exactly that block without a refill, and the allocating thread's
+/// magazine does not move.
+TEST(PoolAllocatorTest, CrossThreadFreeLandsInTheFreeingThreadsMagazine) {
   PoolAllocator& pool = PoolAllocator::instance();
   constexpr std::size_t kSize = 6000;
-  constexpr std::size_t kBlocks = 16;
-
-  std::vector<void*> blocks(kBlocks);
-  std::atomic<bool> freed{false};
 
   onFreshThread([&] {
-    // T0 (this fresh thread) allocates and publishes, then waits for
-    // the remote frees to land on its cache's remote list...
-    for (void*& p : blocks) p = pool.allocate(kSize);
-
-    std::thread t1([&] {
-      for (void* p : blocks) pool.deallocate(p, kSize);
-      freed.store(true, std::memory_order_release);
-    });
-    t1.join();
-    ASSERT_TRUE(freed.load(std::memory_order_acquire));
-    EXPECT_EQ(pool.testRemotePendingOnCaller(), kBlocks);
-
-    // ...then drains the whole list the next time a magazine refills.
-    // Drain the magazine's leftovers first so the next allocate must
-    // refill.
-    std::vector<void*> warm;
-    while (pool.testLocalMagazineFill(kSize) > 0)
-      warm.push_back(pool.allocate(kSize));
     void* p = pool.allocate(kSize);
-    EXPECT_EQ(pool.testRemotePendingOnCaller(), 0u);
-    pool.deallocate(p, kSize);
-    for (void* w : warm) pool.deallocate(w, kSize);
+    const std::size_t allocatorFill = pool.testLocalMagazineFill(kSize);
+
+    onFreshThread([&] {
+      pool.deallocate(p, kSize);
+      EXPECT_EQ(pool.testLocalMagazineFill(kSize), 1u);
+      void* q = pool.allocate(kSize);
+      EXPECT_EQ(q, p);
+      EXPECT_EQ(pool.testLocalMagazineFill(kSize), 0u);
+      pool.deallocate(q, kSize);
+    });
+
+    EXPECT_EQ(pool.testLocalMagazineFill(kSize), allocatorFill);
+  });
+}
+
+/// A TLS destructor that runs after the thread's cache retired frees
+/// straight into the depot: no cache is re-created (ASan/LSan would see
+/// it leak) and nothing writes through the retired one.
+TEST(PoolAllocatorTest, FreeAfterCacheRetirementGoesToTheDepot) {
+  PoolAllocator& pool = PoolAllocator::instance();
+  constexpr std::size_t kSize = 6000;
+  // A different class for the call that creates the thread's cache, so
+  // its exit flush does not move kSize's depot.
+  constexpr std::size_t kOtherSize = 3000;
+
+  struct LateFree {
+    void* block = nullptr;
+    ~LateFree() { PoolAllocator::instance().deallocate(block, kSize); }
+  };
+
+  void* p = pool.allocate(kSize);
+  const std::size_t depotBefore = pool.testDepotFree(kSize);
+  onFreshThread([p] {
+    // Built before the thread's first pool call, so destroyed after the
+    // pool's own TLS cache owner.
+    thread_local LateFree late;
+    late.block = p;
+    PoolAllocator& local = PoolAllocator::instance();
+    local.deallocate(local.allocate(kOtherSize), kOtherSize);
+  });
+  EXPECT_EQ(pool.testDepotFree(kSize), depotBefore + 1);
+}
+
+/// pool_carve in Throw mode: the allocation that must carve throws, the
+/// depot and the reserved bytes are exactly as before, and once disarmed
+/// the next allocation carves normally.
+TEST(PoolAllocatorTest, CarveFailureLeavesTheDepotAsItWas) {
+  onFreshThread([] {
+    PoolAllocator& pool = PoolAllocator::instance();
+    constexpr std::size_t kSize = 6000;
+
+    // Empty this thread's magazine while the depot is too short for a
+    // refill, so the next allocation must carve.
+    std::vector<void*> live;
+    while (pool.testLocalMagazineFill(kSize) != 0 ||
+           pool.testDepotFree(kSize) >= PoolAllocator::kRefillBatch)
+      live.push_back(pool.allocate(kSize));
+
+    const std::size_t depotBefore = pool.testDepotFree(kSize);
+    const std::size_t reservedBefore = pool.reservedBytes();
+    FailpointRegistry::instance().arm("pool_carve", FailpointMode::Throw,
+                                      1.0, 1);
+    EXPECT_THROW(pool.allocate(kSize), FailpointError);
+    FailpointRegistry::instance().disarm("pool_carve");
+    EXPECT_EQ(pool.testDepotFree(kSize), depotBefore);
+    EXPECT_EQ(pool.reservedBytes(), reservedBefore);
+    EXPECT_EQ(pool.testLocalMagazineFill(kSize), 0u);
+
+    live.push_back(pool.allocate(kSize));
+    EXPECT_GT(pool.reservedBytes(), reservedBefore);
+    for (void* p : live) pool.deallocate(p, kSize);
   });
 }
 
@@ -216,9 +267,10 @@ TEST(PoolAllocatorTest, CrossDomainChurnConservesBlocksAcrossShards) {
 
 /// 8-thread cross-thread free stress: T0 allocates task-descriptor-
 /// sized blocks and ships them through a shared queue; T1..N free
-/// whatever they receive.  Checks the remote-free path under real
-/// contention (TSan is the co-assertion), and that recycling keeps slab
-/// growth bounded — blocks must round-trip, not accumulate.
+/// whatever they receive into their own magazines.  Checks the free-to-
+/// local path under real contention (TSan is the co-assertion), and that
+/// recycling keeps slab growth bounded — blocks must round-trip through
+/// the depot, not accumulate.
 TEST(PoolAllocatorTest, CrossThreadFreeStressStaysBounded) {
   PoolAllocator& pool = PoolAllocator::instance();
   constexpr std::size_t kSize = 240;

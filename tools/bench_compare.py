@@ -17,6 +17,11 @@ the iteration rows per name (equivalent to the mean aggregate) so no
 single noisy repetition decides a delta and aggregates never
 double-count.
 
+Before the table it prints each file's host context (`num_cpus`,
+`mhz_per_cpu` from the JSON `context` block), and a `host differs` line
+when the two disagree: a delta across hosts measures the hosts, not the
+code.
+
 Exit status is 0 unless --fail-below is given, in which case the run
 fails when any baseline benchmark's delta falls below the threshold
 (percent, e.g. -10), its metric kind changed, or it is missing from the
@@ -30,14 +35,22 @@ import json
 import sys
 
 
-def load_benchmarks(path):
-    """name -> (metric_value, metric_kind) for the real benchmark rows.
+HOST_KEYS = ("num_cpus", "mhz_per_cpu")
 
-    Same-named iteration rows (one per --benchmark_repetitions run) are
-    averaged; aggregate rows are skipped so they cannot double-count.
+
+def load_benchmarks(path):
+    """(rows, host) for one benchmark JSON file.
+
+    rows maps name -> (metric_value, metric_kind) for the real benchmark
+    rows.  Same-named iteration rows (one per --benchmark_repetitions
+    run) are averaged; aggregate rows are skipped so they cannot
+    double-count.  host maps each HOST_KEYS entry to its context value
+    (None when the file does not record it).
     """
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
+    context = data.get("context", {})
+    host = {key: context.get(key) for key in HOST_KEYS}
     sums = {}
     for bench in data.get("benchmarks", []):
         # Aggregates carry run_type == "aggregate"; plain runs either say
@@ -57,10 +70,11 @@ def load_benchmarks(path):
         if prev_kind != kind:
             continue  # metric kind changed mid-file; keep the first kind
         sums[name] = (total + value, count + 1, kind)
-    return {
+    rows = {
         name: (total / count, kind)
         for name, (total, count, kind) in sums.items()
     }
+    return rows, host
 
 
 def delta_pct(old, new, kind):
@@ -93,8 +107,18 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    old = load_benchmarks(args.old)
-    new = load_benchmarks(args.new)
+    old, old_host = load_benchmarks(args.old)
+    new, new_host = load_benchmarks(args.new)
+
+    for label, path, host in (("old", args.old, old_host),
+                              ("new", args.new, new_host)):
+        fields = " ".join(f"{key}={host[key]}" for key in HOST_KEYS)
+        print(f"{label} host: {fields} ({path})")
+    differing = [f"{key} {old_host[key]} -> {new_host[key]}"
+                 for key in HOST_KEYS if old_host[key] != new_host[key]]
+    if differing:
+        print("host differs: " + ", ".join(differing))
+    print()
 
     common = [name for name in old if name in new]
     if not common:
