@@ -49,7 +49,9 @@ void schedulerFlood(benchmark::State& state, Scheduler& sched,
     state.SetItemsProcessed(static_cast<std::int64_t>(got));
   } else {
     // Drain what consumers did not take so the next repetition starts
-    // from an empty scheduler.
+    // from an empty scheduler.  A dtlock_spsc consumer's stash (at most
+    // seven tasks) is not reachable from here; that consumer's next
+    // repetition returns it first.
     while (sched.getReadyTask(0) != nullptr) {
     }
   }

@@ -272,16 +272,16 @@ class PTLock {
 /// Two acquisition modes:
 ///   * `lock()` — plain FIFO acquire, for callers that must mutate state
 ///     themselves (e.g. draining their own add-buffer on overflow).
-///   * `lockOrDelegate(cpu, item)` — publish "CPU `cpu` wants one item".
+///   * `lockOrDelegate(cpu, items, n)` — publish "CPU `cpu` wants work".
 ///     Returns true when the caller acquired the lock after all (it must
 ///     then do its own work, serve others, and unlock); false when the
-///     holder served it — `item` carries the posted result and the caller
-///     must NOT unlock.
+///     holder served it — `items[0, n)` carry the posted answer and its
+///     extras, and the caller must NOT unlock.
 ///
 /// Holder-side protocol between lock acquisition and `unlock()` (§8 flat
 /// combining):
 ///     while ((n = popWaiters(cpus, maxN)) != 0)
-///       serveBatch(cpus, results, n);
+///       serveBatch(cpus, items, counts, n);
 /// It snapshots a run of queued requests in one pass over the request
 /// array and publishes every answer behind a single release fence,
 /// instead of paying one acquire probe of `next_` plus one release store
@@ -297,11 +297,27 @@ class PTLock {
 /// `unlock()` alone, so they keep the array-ticket-lock invariant that
 /// every grant is consumed before the chain can lap the array.
 ///
+/// Each result slot is one cache line: the answer word plus up to
+/// `kMaxItems - 1` extras, so one serve can hand a waiter several items
+/// for the price of one line transfer.  The holder writes the extras
+/// before the answer's release (fence or store); the waiter reads them
+/// only after its acquire load returns a non-zero answer, and copies
+/// them out before it can publish the request that would let a holder
+/// rewrite them.
+///
 /// Contract: `cpu` < maxCpus (16-bit), at most one concurrent
-/// lockOrDelegate per cpu id, and a served item must never equal ~0 (the
-/// internal "pending" sentinel) — task pointers never are.
+/// lockOrDelegate per cpu id, and a served item is never 0 (the
+/// "nothing" answer, which carries no extras) nor ~0 (the internal
+/// "pending" sentinel) — task pointers never are.
 class DTLock {
  public:
+  /// Bytes in one waiter's result slot: one cache line.
+  static constexpr std::size_t kResultLineBytes = 64;
+  /// Most items one answer carries: the answer word plus the extras that
+  /// fill the rest of its result line.
+  static constexpr std::size_t kMaxItems =
+      kResultLineBytes / sizeof(std::uintptr_t);
+
   explicit DTLock(std::size_t maxThreads = 64, std::size_t maxCpus = 64)
       : slots_(std::bit_ceil(maxThreads < 2 ? std::size_t{2} : maxThreads)),
         mask_(slots_ - 1),
@@ -333,8 +349,10 @@ class DTLock {
   }
 
   /// Delegating acquire.  True: lock acquired, caller is now the server.
-  /// False: request was served; `item` holds the result.
-  bool lockOrDelegate(std::uint64_t cpu, std::uintptr_t& item) {
+  /// False: request was served; `items[0, n)` hold the answer and its
+  /// extras in the order the holder gave them (n == 0: answered 0).
+  bool lockOrDelegate(std::uint64_t cpu, std::uintptr_t (&items)[kMaxItems],
+                      std::size_t& n) {
     assert(cpu < maxCpus_);
     // Free and unqueued: take the lock without publishing anything.
     // Delegation only pays when somebody actually holds the lock; an
@@ -355,10 +373,17 @@ class DTLock {
         served_ = 0;
         return true;
       }
-      const std::uintptr_t r =
-          results_[cpu].v.load(std::memory_order_acquire);
+      const ResultSlot& slot = results_[cpu];
+      const std::uintptr_t r = slot.v.load(std::memory_order_acquire);
       if (r != kPendingResult) {
-        item = r;
+        n = 0;
+        if (r != 0) {
+          items[n++] = r;
+          while (n < kMaxItems && slot.extras[n - 1] != 0) {
+            items[n] = slot.extras[n - 1];
+            ++n;
+          }
+        }
         return false;
       }
       w.spin();
@@ -387,18 +412,22 @@ class DTLock {
     return n;
   }
 
-  /// Holder only: answer the `n` waiters the last `popWaiters` reported,
-  /// `items[i]` going to `cpus[i]`.  All result stores ride one release
-  /// fence: the fence sequenced before the (relaxed) slot stores
-  /// synchronizes with each waiter's acquire load of its own slot
-  /// ([atomics.fences]), so every waiter still observes everything the
-  /// holder did under the lock — at the cost of one fence per batch
-  /// instead of one release store per waiter.  Under TSan the per-store
-  /// release form is kept: fence/atomic synchronization support there
-  /// has been uneven across toolchains, and a false positive would mask
-  /// real findings in the suite this repo keeps clean.
+  /// Holder only: answer the `n` waiters the last `popWaiters` reported.
+  /// Waiter `cpus[i]` receives the next `counts[i]` (<= kMaxItems) entries
+  /// of `items`: the first as its answer, the rest as extras.  A count of
+  /// 0 answers 0 ("nothing").  Every waiter's extras are written before
+  /// the answers' release: all answers ride one release fence, and the
+  /// fence sequenced before the (relaxed) answer stores synchronizes with
+  /// each waiter's acquire load of its own answer ([atomics.fences]), so
+  /// every waiter still observes its extras and everything the holder did
+  /// under the lock — at the cost of one fence per batch instead of one
+  /// release store per waiter.  Under TSan the per-store release form is
+  /// kept, each waiter's extras written before its answer's store:
+  /// fence/atomic synchronization support there has been uneven across
+  /// toolchains, and a false positive would mask real findings in the
+  /// suite this repo keeps clean.
   void serveBatch(const std::uint64_t* cpus, const std::uintptr_t* items,
-                  std::size_t n) {
+                  const std::size_t* counts, std::size_t n) {
 #if defined(__SANITIZE_THREAD__)
     constexpr bool kFenceBatch = false;
 #elif defined(__has_feature)
@@ -407,15 +436,25 @@ class DTLock {
     constexpr bool kFenceBatch = true;
 #endif
     if constexpr (kFenceBatch) {
-      std::atomic_thread_fence(std::memory_order_release);
+      const std::uintptr_t* next = items;
       for (std::size_t i = 0; i < n; ++i) {
-        assert(items[i] != kPendingResult);
-        results_[cpus[i]].v.store(items[i], std::memory_order_relaxed);
+        writeExtras(cpus[i], next, counts[i]);
+        next += counts[i];
+      }
+      std::atomic_thread_fence(std::memory_order_release);
+      next = items;
+      for (std::size_t i = 0; i < n; ++i) {
+        results_[cpus[i]].v.store(counts[i] != 0 ? *next : 0,
+                                  std::memory_order_relaxed);
+        next += counts[i];
       }
     } else {
+      const std::uintptr_t* next = items;
       for (std::size_t i = 0; i < n; ++i) {
-        assert(items[i] != kPendingResult);
-        results_[cpus[i]].v.store(items[i], std::memory_order_release);
+        writeExtras(cpus[i], next, counts[i]);
+        results_[cpus[i]].v.store(counts[i] != 0 ? *next : 0,
+                                  std::memory_order_release);
+        next += counts[i];
       }
     }
     served_ += n;
@@ -434,6 +473,20 @@ class DTLock {
   static constexpr std::uintptr_t kPendingResult = ~std::uintptr_t{0};
 
   static constexpr std::uint64_t kLockGrant(std::uint64_t t) { return t; }
+
+  /// `items[1, count)` into `cpu`'s extras, 0-terminated when they do not
+  /// fill the line.  Plain stores: the waiter reads them only after the
+  /// answer's release, and has copied them out before its next request
+  /// (the acquire edge every later holder's write follows).
+  void writeExtras(std::uint64_t cpu, const std::uintptr_t* items,
+                   std::size_t count) {
+    assert(count <= kMaxItems);
+    for (std::size_t j = 0; j < count; ++j)
+      assert(items[j] != 0 && items[j] != kPendingResult);
+    ResultSlot& slot = results_[cpu];
+    for (std::size_t j = 1; j < count; ++j) slot.extras[j - 1] = items[j];
+    if (count != 0 && count < kMaxItems) slot.extras[count - 1] = 0;
+  }
 
   /// Take the next ticket iff it is already granted (lock free, nobody
   /// queued ahead).  Never steals from a queued waiter: once a ticket is
@@ -460,9 +513,14 @@ class DTLock {
   struct alignas(64) RequestSlot {
     std::atomic<std::uint64_t> v{~std::uint64_t{0}};
   };
-  struct alignas(64) ResultSlot {
+  struct alignas(kResultLineBytes) ResultSlot {
     std::atomic<std::uintptr_t> v{kPendingResult};
+    std::uintptr_t extras[kMaxItems - 1] = {};
   };
+  static_assert(sizeof(std::atomic<std::uintptr_t>) +
+                        sizeof(std::uintptr_t) * (kMaxItems - 1) ==
+                    kResultLineBytes,
+                "an answer and its extras fill exactly one result line");
 
   const std::size_t slots_;
   const std::uint64_t mask_;

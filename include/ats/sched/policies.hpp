@@ -29,6 +29,8 @@ class FifoPolicy final : public SchedulerPolicy {
     return got;
   }
 
+  std::size_t size() const override { return ready_.size(); }
+
   const char* policyName() const override { return "fifo"; }
 
  private:

@@ -83,6 +83,10 @@ class SchedulerPolicy {
     return got;
   }
 
+  /// Tasks queued right now.  The delegation serve sizes each waiter's
+  /// share from it (see SyncScheduler).
+  virtual std::size_t size() const = 0;
+
   virtual const char* policyName() const = 0;
 };
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "common/topology.hpp"
@@ -17,17 +18,28 @@ namespace ats {
 ///     full, the caller takes the DTLock itself, drains the add-buffers
 ///     into the policy, and serves any queued delegation requests
 ///     while it is there (the overflow "help-drain" protocol).
-///   * getReadyTask: `lockOrDelegate`.  Usually some other thread already
-///     holds the lock and simply hands a task back; the waiter never owns
-///     the lock, never drains, never touches the policy's cache lines.
-///     Whichever thread does hold the lock drains the add-buffers, takes
-///     its own task, and serves the delegation queue before releasing.
+///   * getReadyTask: pop the caller slot's stash; only when it is empty,
+///     `lockOrDelegate`.  Usually some other thread already holds the
+///     lock and simply hands tasks back; the waiter never owns the lock,
+///     never drains, never touches the policy's cache lines.  Whichever
+///     thread does hold the lock drains the add-buffers, takes its own
+///     share, and serves the delegation queue before releasing.
 ///
 /// Serving is the §8 flat-combining batch: the holder snapshots a run of
 /// queued requests with one `popWaiters` pass, pulls the batch's tasks
 /// with one `getTasks` call, and publishes every answer behind a single
-/// release fence (`serveBatch`).  A short pull tops the policy up with a
-/// bounded drain; the unbounded refill runs at most once per lock hold.
+/// release fence (`serveBatch`).  A policy that cannot give every waiter
+/// one task is topped up with a bounded drain; the unbounded refill runs
+/// at most once per lock hold.
+///
+/// Multi-task hand-off: every get, delegated or the holder's own, takes
+/// `share = clamp(ready / slots, 1, kMaxShare)` tasks, where `ready` is
+/// the policy's depth after the top-up drain.  A waiter's extras ride in
+/// its DTLock result line; the first task is returned and the rest go to
+/// the slot's stash, which that slot's next gets pop before touching the
+/// lock.  Fewer than two queued tasks per slot deals one task per get.
+/// A stashed task runs only on its own slot (DESIGN.md, "Multi-task
+/// hand-off").
 class SyncScheduler final : public Scheduler {
  public:
   /// Most waiters a single combining batch answers.  Also bounds the
@@ -35,6 +47,11 @@ class SyncScheduler final : public Scheduler {
   /// more waiters than this simply take another batch within the same
   /// lock hold.
   static constexpr std::size_t kServeBurst = 16;
+
+  /// Most tasks one get takes: a DTLock answer plus the extras that fill
+  /// the rest of its result line.
+  static constexpr std::size_t kMaxShare = DTLock::kMaxItems;
+  static_assert(kMaxShare == 8, "one 64-byte result line of task pointers");
 
   /// §3.1: "can be configured from a single one to one per core".  The
   /// paper's Listing 5 hardcodes 100 add-buffer slots; we default to the
@@ -51,6 +68,15 @@ class SyncScheduler final : public Scheduler {
   const char* name() const override { return "sync_dtlock"; }
 
  private:
+  /// Tasks a slot's get took beyond the one it returned, popped FIFO by
+  /// that slot's next gets.  Only the slot's own thread touches it.
+  struct alignas(64) Stash {
+    Task* tasks[kMaxShare - 1] = {};
+    std::uint8_t head = 0;
+    std::uint8_t count = 0;
+  };
+  static_assert(sizeof(Stash) == 64);
+
   /// Answer queued getReadyTask delegations.  Caller must hold lock_;
   /// `cpu` is the holder's slot (trace emissions go into its stream).
   void serveWaiters(std::size_t cpu);
@@ -59,6 +85,7 @@ class SyncScheduler final : public Scheduler {
   DTLock lock_;
   std::unique_ptr<SchedulerPolicy> policy_;
   AddBufferSet addBuffers_;
+  std::unique_ptr<Stash[]> stashes_;
 };
 
 }  // namespace ats

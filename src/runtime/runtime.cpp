@@ -383,12 +383,17 @@ void Runtime::drainAndHelp() {
   // spawner-helped tasks appear in the raw record listing (and the
   // collected TaskStart/End totals) but not in any ThreadTraceStats —
   // worker tasksExecuted summing below the spawn count is expected.
+  // Quiescence is polled only when the scheduler has nothing for us:
+  // tasksInFlight() loads every slot's counter lines, which the workers
+  // write on each retirement.
   SpinWait waiter;
-  while (tasksInFlight() != 0) {
+  for (;;) {
     Task* task = sched_->getReadyTask(cpu);
     if (task != nullptr) {
       waiter.reset();
       executeTask(task, cpu);
+    } else if (tasksInFlight() == 0) {
+      break;
     } else {
       waiter.spin();
     }

@@ -10,6 +10,14 @@
 
 namespace ats {
 
+namespace {
+/// Tasks one get takes when `ready` are queued across `slots` slots.
+std::size_t shareOf(std::size_t ready, std::size_t slots) {
+  return std::clamp<std::size_t>(ready / slots, 1,
+                                 SyncScheduler::kMaxShare);
+}
+}  // namespace
+
 SyncScheduler::SyncScheduler(Topology topo,
                              std::unique_ptr<SchedulerPolicy> policy,
                              std::size_t spscCapacity, Tracer* tracer)
@@ -18,7 +26,8 @@ SyncScheduler::SyncScheduler(Topology topo,
       lock_(std::max<std::size_t>(64, topo_.slotCount() * 2),
             std::max<std::size_t>(64, topo_.slotCount())),
       policy_(std::move(policy)),
-      addBuffers_(topo_, spscCapacity) {}
+      addBuffers_(topo_, spscCapacity),
+      stashes_(std::make_unique<Stash[]>(addBuffers_.numCpus())) {}
 
 void SyncScheduler::addReadyTask(Task* task, std::size_t cpu) {
   assert(cpu < addBuffers_.numCpus());
@@ -44,18 +53,31 @@ void SyncScheduler::addReadyTask(Task* task, std::size_t cpu) {
 
 Task* SyncScheduler::getReadyTask(std::size_t cpu) {
   assert(cpu < addBuffers_.numCpus());
-  std::uintptr_t item = 0;
-  if (!lock_.lockOrDelegate(cpu, item)) {
-    return reinterpret_cast<Task*>(item);  // served by the lock holder
+  Stash& stash = stashes_[cpu];
+  if (stash.head != stash.count) return stash.tasks[stash.head++];
+  stash.head = stash.count = 0;
+
+  std::uintptr_t items[kMaxShare];
+  std::size_t n = 0;
+  if (!lock_.lockOrDelegate(cpu, items, n)) {
+    // Served by the lock holder: the answer is ours, its extras are the
+    // stash.  Copied out here, before this slot can publish the next
+    // request that would let a holder rewrite them.
+    if (n == 0) return nullptr;
+    for (std::size_t k = 1; k < n; ++k)
+      stash.tasks[stash.count++] = reinterpret_cast<Task*>(items[k]);
+    return reinterpret_cast<Task*>(items[0]);
   }
   // A bounded drain first, so one hold does not turn into a drain loop;
   // only when the policy is dry after that does the unbounded pass run.
   emitDrain(cpu, addBuffers_.drainInto(*policy_, kServeBurst));
+  if (policy_->size() == 0) emitDrain(cpu, addBuffers_.drainInto(*policy_));
+  // The holder's own share, by the same rule a waiter's is dealt.
+  const std::size_t share =
+      shareOf(policy_->size(), addBuffers_.numCpus());
   Task* task = policy_->getTask();
-  if (task == nullptr) {
-    emitDrain(cpu, addBuffers_.drainInto(*policy_));
-    task = policy_->getTask();
-  }
+  while (task != nullptr && stash.count + 1u < share)
+    stash.tasks[stash.count++] = policy_->getTask();
   serveWaiters(cpu);
   lock_.unlock();
   return task;
@@ -71,36 +93,41 @@ void SyncScheduler::serveWaiters(std::size_t cpu) {
   // the holder's own latency stays bounded.
   const std::size_t maxServes = 4 * topo_.numCpus + 4;
   std::uint64_t waiterCpus[kServeBurst];
-  Task* tasks[kServeBurst];
-  std::uintptr_t items[kServeBurst];
+  std::size_t counts[kServeBurst];
+  Task* tasks[kServeBurst * kMaxShare];
+  std::uintptr_t items[kServeBurst * kMaxShare];
   bool refilled = false;
   std::size_t served = 0;
   while (served < maxServes) {
     const std::size_t want = std::min(kServeBurst, maxServes - served);
     const std::size_t n = lock_.popWaiters(waiterCpus, want);
     if (n == 0) break;
-    // One bulk pull for the whole batch.  Short: top the policy up with a
-    // bounded drain and pull again; still short: one unbounded refill per
-    // lock hold.
-    std::size_t got = policy_->getTasks(tasks, n);
-    if (got < n) {
+    // Fewer tasks than waiters: top the policy up with a bounded drain;
+    // still short: one unbounded refill per lock hold.
+    if (policy_->size() < n)
       emitDrain(cpu, addBuffers_.drainInto(*policy_, kServeBurst));
-      got += policy_->getTasks(tasks + got, n - got);
-    }
-    if (got < n && !refilled) {
+    if (policy_->size() < n && !refilled) {
       refilled = true;
       emitDrain(cpu, addBuffers_.drainInto(*policy_));
-      got += policy_->getTasks(tasks + got, n - got);
     }
-    // Waiters past `got` are answered 0 ("nothing ready").  Every answer
-    // is published behind ONE release fence (the §8 protocol).
+    // One bulk pull for the whole batch, `share` tasks per waiter.
+    // Waiters past the pull are answered 0 ("nothing ready").
+    const std::size_t share =
+        shareOf(policy_->size(), addBuffers_.numCpus());
+    const std::size_t got = policy_->getTasks(tasks, n * share);
+    std::size_t dealt = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      items[i] = i < got ? reinterpret_cast<std::uintptr_t>(tasks[i]) : 0;
+      counts[i] = std::min(share, got - dealt);
+      dealt += counts[i];
     }
-    lock_.serveBatch(waiterCpus, items, n);
-    // One coalesced SchedServe per batch, payload = tasks handed off —
-    // and only when something was actually handed off (idle waiters
-    // re-delegate continuously; see the Scheduler contract).
+    for (std::size_t k = 0; k < got; ++k)
+      items[k] = reinterpret_cast<std::uintptr_t>(tasks[k]);
+    // Every answer is published behind ONE release fence (the §8
+    // protocol), each waiter's extras written before it.
+    lock_.serveBatch(waiterCpus, items, counts, n);
+    // One coalesced SchedServe per batch, payload = tasks handed off,
+    // extras included — and only when something was actually handed off
+    // (idle waiters re-delegate continuously; see the Scheduler contract).
     if (tracer_ != nullptr && got != 0)
       tracer_->emit(cpu, TraceEvent::SchedServe, got);
     served += n;

@@ -127,8 +127,9 @@ TEST(Locks, DTLockSingleThreadServeProtocol) {
 
   // Re-acquire through the delegating entry point with no holder: the
   // caller must get the lock, not a delegation, so nothing is queued.
-  std::uintptr_t item = 0;
-  EXPECT_TRUE(lock.lockOrDelegate(3, item));
+  std::uintptr_t items[DTLock::kMaxItems] = {};
+  std::size_t n = 0;
+  EXPECT_TRUE(lock.lockOrDelegate(3, items, n));
   EXPECT_EQ(lock.popWaiters(cpus, 4), 0u);
   lock.unlock();
 }
@@ -151,11 +152,13 @@ TEST(Locks, DTLockPopWaitersSnapshotsAndServesInTicketOrder) {
   std::vector<std::thread> waiters;
   for (std::uint64_t t = 0; t < kWaiters; ++t) {
     waiters.emplace_back([&, t] {
-      std::uintptr_t item = 0;
+      std::uintptr_t items[DTLock::kMaxItems] = {};
+      std::size_t n = 0;
       // The lock is held for the whole queuing phase, so every waiter
       // must be served (never acquire).
-      ASSERT_FALSE(lock.lockOrDelegate(t, item));
-      results[t].store(item, std::memory_order_relaxed);
+      ASSERT_FALSE(lock.lockOrDelegate(t, items, n));
+      ASSERT_EQ(n, 1u);
+      results[t].store(items[0], std::memory_order_relaxed);
     });
   }
 
@@ -171,10 +174,11 @@ TEST(Locks, DTLockPopWaitersSnapshotsAndServesInTicketOrder) {
   // double-serve anyone.
   std::uint64_t batch[2] = {};
   std::uintptr_t items[2] = {};
+  const std::size_t counts[2] = {1, 1};
   for (int half = 0; half < 2; ++half) {
     ASSERT_EQ(lock.popWaiters(batch, 2), 2u);
     for (int i = 0; i < 2; ++i) items[i] = 100 + batch[i];
-    lock.serveBatch(batch, items, 2);
+    lock.serveBatch(batch, items, counts, 2);
   }
   EXPECT_EQ(lock.popWaiters(cpus, kWaiters), 0u);  // everyone answered
   lock.unlock();
@@ -184,6 +188,79 @@ TEST(Locks, DTLockPopWaitersSnapshotsAndServesInTicketOrder) {
     EXPECT_EQ(results[t].load(std::memory_order_relaxed), 100 + t)
         << "waiter " << t << " got someone else's result";
   }
+}
+
+/// The result line carries extras.  Waiters queue one at a time, so
+/// waiter i holds ticket i; the holder answers waiter i with one item
+/// plus (i mod kMaxItems) extras, and the last waiter with 0.  Each
+/// waiter must read exactly its own items, in order, and the one
+/// answered 0 must read none — even though the slot it reuses held a
+/// full line of extras from an earlier answer.
+TEST(Locks, DTLockAnswersCarryEachWaitersOwnExtrasInOrder) {
+  constexpr std::uint64_t kServed = DTLock::kMaxItems + 2;
+  constexpr std::uint64_t kWaiters = kServed + 1;  // the last gets 0
+  constexpr std::uint64_t kZeroCpu = kWaiters - 1;
+  DTLock lock(32);
+  lock.lock();
+
+  // Fill the zero-answered waiter's slot with a full line first, so a
+  // reader that ignored the 0 answer would find stale extras there.
+  std::vector<std::uintptr_t> full(DTLock::kMaxItems);
+  for (std::size_t j = 0; j < full.size(); ++j) full[j] = 7000 + j;
+  {
+    std::thread early([&] {
+      std::uintptr_t items[DTLock::kMaxItems] = {};
+      std::size_t n = 0;
+      ASSERT_FALSE(lock.lockOrDelegate(kZeroCpu, items, n));
+      ASSERT_EQ(n, DTLock::kMaxItems);
+      for (std::size_t j = 0; j < n; ++j) EXPECT_EQ(items[j], full[j]);
+    });
+    std::uint64_t cpu = 0;
+    SpinWait w;
+    while (lock.popWaiters(&cpu, 1) < 1) w.spin();
+    ASSERT_EQ(cpu, kZeroCpu);
+    const std::size_t count = DTLock::kMaxItems;
+    lock.serveBatch(&cpu, full.data(), &count, 1);
+    early.join();
+  }
+
+  std::vector<std::vector<std::uintptr_t>> got(kWaiters);
+  std::vector<std::thread> waiters;
+  std::uint64_t cpus[kWaiters] = {};
+  for (std::uint64_t t = 0; t < kWaiters; ++t) {
+    waiters.emplace_back([&, t] {
+      std::uintptr_t items[DTLock::kMaxItems] = {};
+      std::size_t n = 0;
+      ASSERT_FALSE(lock.lockOrDelegate(t, items, n));
+      got[t].assign(items, items + n);
+    });
+    // Ticket order = thread order: wait for this request to queue
+    // before starting the next.
+    SpinWait w;
+    while (lock.popWaiters(cpus, kWaiters) < t + 1) w.spin();
+  }
+  for (std::uint64_t i = 0; i < kWaiters; ++i) ASSERT_EQ(cpus[i], i);
+
+  std::vector<std::uintptr_t> items;
+  std::size_t counts[kWaiters] = {};
+  for (std::uint64_t i = 0; i < kServed; ++i) {
+    counts[i] = 1 + i % DTLock::kMaxItems;
+    for (std::size_t j = 0; j < counts[i]; ++j)
+      items.push_back(1000 * (i + 1) + j);
+  }
+  counts[kZeroCpu] = 0;
+  lock.serveBatch(cpus, items.data(), counts, kWaiters);
+  EXPECT_EQ(lock.popWaiters(cpus, kWaiters), 0u);  // everyone answered
+  lock.unlock();
+  for (auto& t : waiters) t.join();
+
+  for (std::uint64_t i = 0; i < kServed; ++i) {
+    ASSERT_EQ(got[i].size(), counts[i]) << "waiter " << i;
+    for (std::size_t j = 0; j < counts[i]; ++j)
+      EXPECT_EQ(got[i][j], 1000 * (i + 1) + j)
+          << "waiter " << i << " item " << j;
+  }
+  EXPECT_TRUE(got[kZeroCpu].empty()) << "a 0 answer carried extras";
 }
 
 /// Mirrors the SyncScheduler usage under the §3.2 8-thread stress shape:
@@ -207,20 +284,25 @@ TEST(Locks, DTLockBatchedServeDeliversExactlyOnce) {
       auto& mine = got[static_cast<std::size_t>(t)];
       std::uint64_t cpus[kBatchCap];
       std::uintptr_t items[kBatchCap];
+      const std::size_t counts[kBatchCap] = {1, 1, 1};
       while (mine.size() < static_cast<std::size_t>(kOps)) {
-        std::uintptr_t item = 0;
-        if (lock.lockOrDelegate(static_cast<std::uint64_t>(t), item)) {
+        std::uintptr_t answer[DTLock::kMaxItems] = {};
+        std::size_t got = 0;
+        if (lock.lockOrDelegate(static_cast<std::uint64_t>(t), answer,
+                                got)) {
           mine.push_back(++counter);  // holder serves itself...
           std::size_t n;
           while ((n = lock.popWaiters(cpus, kBatchCap)) != 0) {
             for (std::size_t i = 0; i < n; ++i) {
               items[i] = static_cast<std::uintptr_t>(++counter);
             }
-            lock.serveBatch(cpus, items, n);  // ...and batches of waiters
+            // ...and batches of waiters
+            lock.serveBatch(cpus, items, counts, n);
           }
           lock.unlock();
         } else {
-          mine.push_back(item);
+          ASSERT_EQ(got, 1u);
+          mine.push_back(answer[0]);
         }
       }
     });

@@ -182,6 +182,7 @@ TEST(SyncSchedulerTest, DelegationQueueDeeperThanOneBatchConservesExactlyOnce) {
       if (std::this_thread::get_id() == holder) ++holderPulls;
       return inner.getTasks(out, n);
     }
+    std::size_t size() const override { return inner.size(); }
     const char* policyName() const override { return "gated_fifo"; }
   };
 
@@ -232,6 +233,132 @@ TEST(SyncSchedulerTest, DelegationQueueDeeperThanOneBatchConservesExactlyOnce) {
     ASSERT_EQ(all[i], &pool[i]) << "a task was lost or handed out twice";
   }
   EXPECT_EQ(sched.getReadyTask(0), nullptr);
+}
+
+/// Counts every policy call; used to see which gets touch the lock.
+/// Calls arrive under the scheduler's DTLock, and the tests read the
+/// count from the only getter thread.
+struct CountingFifo : SchedulerPolicy {
+  FifoPolicy inner;
+  std::size_t calls = 0;
+
+  void addTask(Task* t) override {
+    ++calls;
+    inner.addTask(t);
+  }
+  Task* getTask() override {
+    ++calls;
+    return inner.getTask();
+  }
+  std::size_t getTasks(Task** out, std::size_t n) override {
+    ++calls;
+    return inner.getTasks(out, n);
+  }
+  std::size_t size() const override { return inner.size(); }
+  const char* policyName() const override { return "counting_fifo"; }
+};
+
+/// Deep queue (far more than two tasks per slot): one get takes a full
+/// share, and that slot's next kMaxShare - 1 gets return the following
+/// tasks in FIFO order from its stash without touching the policy.
+TEST(SyncSchedulerTest, DeepQueueGetTakesAShareTheNextGetsPopWithoutThePolicy) {
+  constexpr std::size_t kShare = SyncScheduler::kMaxShare;
+  auto counting = std::make_unique<CountingFifo>();
+  CountingFifo& policy = *counting;
+  // A small add-buffer overflows into the policy while the tasks pour
+  // in, so the queue is deep before the first get.
+  SyncScheduler sched(testTopo(4), std::move(counting), 8);
+  std::vector<Task> pool(4 * kShare * 4);
+  for (auto& t : pool) sched.addReadyTask(&t, 0);
+  ASSERT_GE(policy.inner.size(), 2 * kShare * 4);
+
+  std::size_t next = 0;
+  while (next < 2 * kShare) {
+    const std::size_t before = policy.calls;
+    ASSERT_EQ(sched.getReadyTask(1), &pool[next++]);
+    EXPECT_GT(policy.calls, before) << "the share's first get pulls";
+    for (std::size_t k = 1; k < kShare; ++k) {
+      const std::size_t stashed = policy.calls;
+      ASSERT_EQ(sched.getReadyTask(1), &pool[next++]);
+      EXPECT_EQ(policy.calls, stashed) << "get " << next - 1
+                                       << " called the policy";
+    }
+  }
+}
+
+/// Shallow queue (fewer than two tasks per slot): every get goes to the
+/// policy and comes back with one task, so no slot sits on work another
+/// could run.
+TEST(SyncSchedulerTest, ShallowQueueDealsOneTaskPerGet) {
+  constexpr std::size_t kSlots = 4;
+  auto counting = std::make_unique<CountingFifo>();
+  CountingFifo& policy = *counting;
+  SyncScheduler sched(testTopo(kSlots), std::move(counting));
+  std::vector<Task> pool(2 * kSlots - 1);
+  for (auto& t : pool) sched.addReadyTask(&t, 0);
+
+  for (auto& t : pool) {
+    const std::size_t before = policy.calls;
+    ASSERT_EQ(sched.getReadyTask(2), &t);
+    EXPECT_GT(policy.calls, before) << "a get was served from a stash";
+  }
+  EXPECT_EQ(sched.getReadyTask(2), nullptr);
+  EXPECT_EQ(policy.inner.size(), 0u);
+}
+
+/// Shaped like the nested workload: the spawner slot adds generator
+/// tasks, and whichever getter takes a generator adds its children from
+/// its own slot while every slot keeps getting — so stashes fill from
+/// delegated answers and from the holder's own share while adds overflow
+/// small add-buffers.  Every task must come back exactly once.
+TEST(SyncSchedulerTest, NestedAddersAndStashedSharesConserveExactlyOnce) {
+  constexpr std::size_t kWorkers = 4;
+  constexpr std::size_t kGenerators = 16;
+  constexpr std::size_t kChildren = 1000;
+  constexpr std::size_t kTotal = kGenerators * (1 + kChildren);
+  Topology topo = testTopo(kWorkers);
+  topo.reservedSlots = 1;  // slot kWorkers: the spawner, as in the Runtime
+  SyncScheduler sched(topo, std::make_unique<FifoPolicy>(), 32);
+  std::vector<Task> pool(kTotal);
+
+  std::atomic<std::size_t> retrieved{0};
+  std::vector<std::vector<Task*>> got(kWorkers + 1);
+  auto run = [&](std::size_t slot) {
+    while (retrieved.load(std::memory_order_relaxed) < kTotal) {
+      Task* t = sched.getReadyTask(slot);
+      if (t == nullptr) {
+        std::this_thread::yield();
+        continue;
+      }
+      got[slot].push_back(t);
+      const auto index = static_cast<std::size_t>(t - pool.data());
+      if (index < kGenerators) {
+        Task* children = &pool[kGenerators + index * kChildren];
+        for (std::size_t c = 0; c < kChildren; ++c)
+          sched.addReadyTask(&children[c], slot);
+      }
+      retrieved.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < kWorkers; ++w) threads.emplace_back(run, w);
+  threads.emplace_back([&] {
+    for (std::size_t g = 0; g < kGenerators; ++g)
+      sched.addReadyTask(&pool[g], kWorkers);
+    run(kWorkers);
+  });
+  for (auto& t : threads) t.join();
+
+  std::vector<Task*> all;
+  for (const auto& v : got) all.insert(all.end(), v.begin(), v.end());
+  ASSERT_EQ(all.size(), kTotal);
+  std::sort(all.begin(), all.end());
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    ASSERT_EQ(all[i], &pool[i]) << "a task was lost or handed out twice";
+  }
+  for (std::size_t slot = 0; slot <= kWorkers; ++slot)
+    EXPECT_EQ(sched.getReadyTask(slot), nullptr) << "slot " << slot;
 }
 
 TEST(AddBufferSetTest, CappedDrainStopsAtTheCapInSlotOrder) {
@@ -336,6 +463,7 @@ TEST(PolicyTest, BulkGetTasksMatchesRepeatedGetTask) {
     void addTask(Task* t) override { inner.addTask(t); }
     Task* getTask() override { return inner.getTask(); }
     // getTasks NOT overridden: runs SchedulerPolicy's default loop.
+    std::size_t size() const override { return inner.size(); }
     const char* policyName() const override { return "default_loop"; }
   };
 
