@@ -62,7 +62,7 @@ Topology benchTopo() {
 }
 
 void BM_Sched_SerialMutex(benchmark::State& state) {
-  static CentralMutexScheduler sched(benchTopo());
+  static CentralMutexScheduler sched(std::make_unique<FifoPolicy>());
   static std::vector<Task> pool(4096);
   schedulerFlood(state, sched, pool);
 }

@@ -1,6 +1,6 @@
 // §3.1 claim: the bounded wait-free SPSC queue is a cheap decoupling
-// buffer.  Single-thread round-trip cost, batch drain via consumeAll, and
-// a comparison against the MPMC queue and a mutex-guarded deque on the
+// buffer.  Single-thread round-trip cost, batch drain via consumeN, and
+// a comparison against a mutex-guarded deque (serial insertion) on the
 // same 1-producer/1-consumer traffic.
 #include <benchmark/benchmark.h>
 
@@ -8,7 +8,6 @@
 #include <mutex>
 #include <thread>
 
-#include "containers/mpmc_queue.hpp"
 #include "containers/spsc_queue.hpp"
 
 namespace {
@@ -33,24 +32,12 @@ void BM_SpscConsumeAllBatch(benchmark::State& state) {
   std::uint64_t sink = 0;
   for (auto _ : state) {
     for (std::size_t i = 0; i < batch; ++i) q.push(i);
-    q.consumeAll([&](std::uint64_t v) { sink += v; });
+    q.consumeN(batch, [&](std::uint64_t v) { sink += v; });
   }
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_SpscConsumeAllBatch)->Arg(8)->Arg(64)->Arg(512);
-
-void BM_MpmcPushPop(benchmark::State& state) {
-  MpmcQueue<std::uint64_t> q(1024);
-  std::uint64_t v = 0;
-  for (auto _ : state) {
-    q.push(1);
-    q.pop(v);
-    benchmark::DoNotOptimize(v);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MpmcPushPop);
 
 void BM_MutexDequePushPop(benchmark::State& state) {
   std::mutex mu;

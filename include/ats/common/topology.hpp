@@ -18,7 +18,6 @@ enum class MachinePreset {
 /// add-buffer, one DTLock result slot and one deque per scheduler slot.
 struct Topology {
   std::size_t numCpus = 1;
-  MachinePreset preset = MachinePreset::Host;
 
   /// Extra per-thread scheduler slots beyond the real CPUs — the
   /// Runtime reserves one for the spawner.  Kept OUT of numCpus, which

@@ -21,7 +21,7 @@ namespace ats {
 /// counters themselves, so full/empty never ambiguate).
 ///
 /// Concurrency contract: at most one thread calls `push` and at most one
-/// thread calls `pop`/`consumeAll` at any moment.  The two sides may be
+/// thread calls `pop`/`consumeN` at any moment.  The two sides may be
 /// different threads over time (the SyncScheduler drains buffers from
 /// whichever thread holds the DTLock) as long as handoffs are ordered by
 /// a happens-before edge — the lock provides it.
@@ -54,22 +54,10 @@ class SpscQueue {
     return true;
   }
 
-  /// Drain everything currently published, in FIFO order, with a single
-  /// index update at the end — the batch the DTLock holder uses when it
-  /// moves a whole add-buffer into the ready queue.  Returns the count.
-  template <typename F>
-  std::size_t consumeAll(F&& fn) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t tail = tail_.load(std::memory_order_acquire);
-    cachedTail_ = tail;
-    for (std::size_t i = head; i != tail; ++i) fn(std::move(slots_[i & mask_]));
-    head_.store(tail, std::memory_order_release);
-    return tail - head;
-  }
-
-  /// Bounded consumeAll: drain at most `maxN` published values, FIFO,
-  /// still one index update at the end.  The schedulers' burst drains use
-  /// this to cap how much work one lock hold performs; what stays behind
+  /// Drain at most `maxN` published values, in FIFO order, with a single
+  /// index update at the end — the batch the lock holder uses to move an
+  /// add-buffer into the ready queue.  A cap of ~0 drains everything; a
+  /// smaller one bounds one lock hold's work, and what stays behind
   /// remains published for the next drain.  Returns the drained count.
   template <typename F>
   std::size_t consumeN(std::size_t maxN, F&& fn) {

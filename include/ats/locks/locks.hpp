@@ -208,7 +208,7 @@ class PTLock {
   explicit PTLock(std::size_t maxThreads = 64)
       : slots_(std::bit_ceil(maxThreads < 2 ? std::size_t{2} : maxThreads)),
         mask_(slots_ - 1),
-        grants_(std::make_unique<GrantSlot[]>(slots_)) {
+        grants_(std::make_unique<TicketSlot[]>(slots_)) {
     grants_[0].v.store(0, std::memory_order_relaxed);  // ticket 0 may enter
   }
 
@@ -216,10 +216,7 @@ class PTLock {
     const std::uint64_t ticket =
         next_.fetch_add(1, std::memory_order_relaxed);
     SpinWait w;
-    while (grants_[ticket & mask_].v.load(std::memory_order_acquire) !=
-           ticket) {
-      w.spin();
-    }
+    while (!granted(ticket)) w.spin();
     held_ = ticket;
   }
 
@@ -228,8 +225,7 @@ class PTLock {
   /// behind a preempted holder on oversubscribed hosts.
   bool tryLock() {
     std::uint64_t ticket = next_.load(std::memory_order_relaxed);
-    if (grants_[ticket & mask_].v.load(std::memory_order_acquire) != ticket)
-      return false;
+    if (!granted(ticket)) return false;
     if (!next_.compare_exchange_strong(ticket, ticket + 1,
                                        std::memory_order_acq_rel,
                                        std::memory_order_relaxed)) {
@@ -239,44 +235,53 @@ class PTLock {
     return true;
   }
 
+  /// Grant the first ticket the hold did not consume.
   void unlock() {
     const std::uint64_t nextTicket = held_ + 1;
     grants_[nextTicket & mask_].v.store(nextTicket,
                                         std::memory_order_release);
   }
 
- private:
-  struct alignas(64) GrantSlot {
-    // "No ticket granted here yet": any value whose low bits cannot
-    // collide with a live ticket for this slot.
+ protected:
+  /// One padded word per ticket slot: a grant, or a DTLock request.  The
+  /// initial ~0 matches no ticket that can reach the slot.
+  struct alignas(64) TicketSlot {
     std::atomic<std::uint64_t> v{~std::uint64_t{0}};
   };
 
+  /// Acquire read of `ticket`'s grant: true once the lock is its turn.
+  bool granted(std::uint64_t ticket) const {
+    return grants_[ticket & mask_].v.load(std::memory_order_acquire) ==
+           ticket;
+  }
+
   const std::size_t slots_;
   const std::uint64_t mask_;
-  std::unique_ptr<GrantSlot[]> grants_;
+  // Off next_'s line: every spinning waiter reloads this pointer, and
+  // next_ takes every arrival's ticket RMW.
+  std::unique_ptr<TicketSlot[]> grants_;
   alignas(64) std::atomic<std::uint64_t> next_{0};
-  // Ticket of the current holder.  Only ever touched by the thread that
-  // owns the lock; the grant release/acquire chain orders the hand-off.
+  // Last ticket the current hold consumed: its own, plus every waiter a
+  // DTLock holder served.  Only ever touched by the thread that owns the
+  // lock; the grant release/acquire chain orders the hand-off.
   std::uint64_t held_ = 0;
 };
 
-/// DTLock — the paper's Delegation Ticket Lock (§3.3, Listing 5).  A
-/// PTLock where a waiter may publish the *request* it would have executed
-/// under the lock; the current holder then performs that work on the
+/// DTLock — the paper's Delegation Ticket Lock (§3.3, Listing 5): a
+/// PTLock whose waiters may publish the *request* they would have
+/// executed under the lock.  The holder performs that work on the
 /// waiter's behalf and posts the result, releasing the waiter without it
 /// ever owning the lock.  One core ends up doing the scheduler's
 /// critical-section work for everybody while the others keep their caches
 /// on application data — that is the 4x of §3.4.
 ///
-/// Two acquisition modes:
-///   * `lock()` — plain FIFO acquire, for callers that must mutate state
-///     themselves (e.g. draining their own add-buffer on overflow).
-///   * `lockOrDelegate(cpu, items, n)` — publish "CPU `cpu` wants work".
-///     Returns true when the caller acquired the lock after all (it must
-///     then do its own work, serve others, and unlock); false when the
-///     holder served it — `items[0, n)` carry the posted answer and its
-///     extras, and the caller must NOT unlock.
+/// `lock()`, `tryLock()` and `unlock()` are PTLock's, for callers that
+/// must mutate state themselves (e.g. draining their own add-buffer on
+/// overflow).  `lockOrDelegate(cpu, items, n)` instead publishes "CPU
+/// `cpu` wants work": true means the caller acquired the lock after all
+/// (it must then do its own work, serve others, and unlock); false means
+/// the holder served it — `items[0, n)` carry the posted answer and its
+/// extras, and the caller must NOT unlock.
 ///
 /// Holder-side protocol between lock acquisition and `unlock()` (§8 flat
 /// combining):
@@ -285,7 +290,9 @@ class PTLock {
 /// It snapshots a run of queued requests in one pass over the request
 /// array and publishes every answer behind a single release fence,
 /// instead of paying one acquire probe of `next_` plus one release store
-/// per waiter as Listing 5's serve-one loop does.
+/// per waiter as Listing 5's serve-one loop does.  A served ticket counts
+/// as consumed by the hold (`held_`), so `unlock()` grants the first
+/// ticket nobody served.
 ///
 /// Results travel through a slot owned by the requesting CPU, not by the
 /// ticket.  That distinction is load-bearing: a served waiter applies no
@@ -309,7 +316,7 @@ class PTLock {
 /// lockOrDelegate per cpu id, and a served item is never 0 (the
 /// "nothing" answer, which carries no extras) nor ~0 (the internal
 /// "pending" sentinel) — task pointers never are.
-class DTLock {
+class DTLock : public PTLock {
  public:
   /// Bytes in one waiter's result slot: one cache line.
   static constexpr std::size_t kResultLineBytes = 64;
@@ -319,33 +326,11 @@ class DTLock {
       kResultLineBytes / sizeof(std::uintptr_t);
 
   explicit DTLock(std::size_t maxThreads = 64, std::size_t maxCpus = 64)
-      : slots_(std::bit_ceil(maxThreads < 2 ? std::size_t{2} : maxThreads)),
-        mask_(slots_ - 1),
+      : PTLock(maxThreads),
         maxCpus_(maxCpus),
-        grants_(std::make_unique<GrantSlot[]>(slots_)),
-        requests_(std::make_unique<RequestSlot[]>(slots_)),
+        requests_(std::make_unique<TicketSlot[]>(slots_)),
         results_(std::make_unique<ResultSlot[]>(maxCpus)) {
     assert(maxCpus_ >= 1 && maxCpus_ < (std::uint64_t{1} << kCpuBits));
-    grants_[0].v.store(kLockGrant(0), std::memory_order_relaxed);
-  }
-
-  /// Take the lock iff it is free and nobody is queued; never joins the
-  /// FIFO queue.  For adders that must not park a reserved ticket while
-  /// preemptible (see the scheduler overflow paths).
-  bool tryLock() { return tryAcquireFree(); }
-
-  /// Plain FIFO acquire (never delegated).
-  void lock() {
-    if (tryAcquireFree()) return;
-    const std::uint64_t ticket =
-        next_.fetch_add(1, std::memory_order_relaxed);
-    SpinWait w;
-    while (grants_[ticket & mask_].v.load(std::memory_order_acquire) !=
-           kLockGrant(ticket)) {
-      w.spin();
-    }
-    held_ = ticket;
-    served_ = 0;
   }
 
   /// Delegating acquire.  True: lock acquired, caller is now the server.
@@ -357,7 +342,7 @@ class DTLock {
     // Free and unqueued: take the lock without publishing anything.
     // Delegation only pays when somebody actually holds the lock; an
     // uncontended acquire should cost what a plain lock costs.
-    if (tryAcquireFree()) return true;
+    if (tryLock()) return true;
     // Arm our response slot before publishing the request; the request's
     // release store orders the reset before any server's write.
     results_[cpu].v.store(kPendingResult, std::memory_order_relaxed);
@@ -367,10 +352,8 @@ class DTLock {
                                       std::memory_order_release);
     SpinWait w;
     for (;;) {
-      if (grants_[ticket & mask_].v.load(std::memory_order_acquire) ==
-          kLockGrant(ticket)) {
+      if (granted(ticket)) {
         held_ = ticket;
-        served_ = 0;
         return true;
       }
       const ResultSlot& slot = results_[cpu];
@@ -400,7 +383,7 @@ class DTLock {
   /// run until `serveBatch` advances past it.
   std::size_t popWaiters(std::uint64_t* cpus, std::size_t maxN) {
     const std::uint64_t limit = next_.load(std::memory_order_acquire);
-    std::uint64_t ticket = held_ + served_ + 1;
+    std::uint64_t ticket = held_ + 1;
     std::size_t n = 0;
     while (n < maxN && ticket != limit) {
       const std::uint64_t req =
@@ -457,22 +440,12 @@ class DTLock {
         next += counts[i];
       }
     }
-    served_ += n;
-  }
-
-  /// Holder only: pass the lock to the next unserved waiter (or leave it
-  /// open for the next arrival).
-  void unlock() {
-    const std::uint64_t ticket = held_ + served_ + 1;
-    grants_[ticket & mask_].v.store(kLockGrant(ticket),
-                                    std::memory_order_release);
+    held_ += n;
   }
 
  private:
   static constexpr std::uint64_t kCpuBits = 16;
   static constexpr std::uintptr_t kPendingResult = ~std::uintptr_t{0};
-
-  static constexpr std::uint64_t kLockGrant(std::uint64_t t) { return t; }
 
   /// `items[1, count)` into `cpu`'s extras, 0-terminated when they do not
   /// fill the line.  Plain stores: the waiter reads them only after the
@@ -488,31 +461,6 @@ class DTLock {
     if (count != 0 && count < kMaxItems) slot.extras[count - 1] = 0;
   }
 
-  /// Take the next ticket iff it is already granted (lock free, nobody
-  /// queued ahead).  Never steals from a queued waiter: once a ticket is
-  /// outstanding, grant != next_ until the chain catches up.
-  bool tryAcquireFree() {
-    std::uint64_t ticket = next_.load(std::memory_order_relaxed);
-    if (grants_[ticket & mask_].v.load(std::memory_order_acquire) !=
-        kLockGrant(ticket)) {
-      return false;
-    }
-    if (!next_.compare_exchange_strong(ticket, ticket + 1,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_relaxed)) {
-      return false;
-    }
-    held_ = ticket;
-    served_ = 0;
-    return true;
-  }
-
-  struct alignas(64) GrantSlot {
-    std::atomic<std::uint64_t> v{~std::uint64_t{0}};
-  };
-  struct alignas(64) RequestSlot {
-    std::atomic<std::uint64_t> v{~std::uint64_t{0}};
-  };
   struct alignas(kResultLineBytes) ResultSlot {
     std::atomic<std::uintptr_t> v{kPendingResult};
     std::uintptr_t extras[kMaxItems - 1] = {};
@@ -522,17 +470,11 @@ class DTLock {
                     kResultLineBytes,
                 "an answer and its extras fill exactly one result line");
 
-  const std::size_t slots_;
-  const std::uint64_t mask_;
-  const std::uint64_t maxCpus_;
-  std::unique_ptr<GrantSlot[]> grants_;
-  std::unique_ptr<RequestSlot[]> requests_;
+  // A line of their own: left unaligned they would fill PTLock's tail
+  // padding, on next_'s line, and every delegating waiter reloads them.
+  alignas(64) const std::uint64_t maxCpus_;
+  std::unique_ptr<TicketSlot[]> requests_;
   std::unique_ptr<ResultSlot[]> results_;
-  alignas(64) std::atomic<std::uint64_t> next_{0};
-  // Holder-owned bookkeeping, ordered across hand-offs by the grant
-  // release/acquire chain.
-  std::uint64_t held_ = 0;
-  std::uint64_t served_ = 0;
 };
 
 }  // namespace ats

@@ -43,7 +43,6 @@ struct RuntimeConfig {
   /// Slots in each per-CPU SPSC add-buffer (SyncDelegation and
   /// PTLockCentral), and the initial per-CPU deque capacity under
   /// WorkStealing (same "per-CPU buffer" knob; the deque grows past it).
-  /// Reconciled name — older code and docs said `addBufferCapacity`.
   std::size_t spscCapacity = 256;
 
   /// Stall watchdog (failure domains): 0 disables; a positive value
@@ -85,14 +84,5 @@ RuntimeConfig withoutDTLockConfig(const Topology& topo);
 /// Architectural stand-ins of Figures 7-9.
 RuntimeConfig centralMutexRuntimeConfig(const Topology& topo);
 RuntimeConfig workStealingRuntimeConfig(const Topology& topo);
-
-/// Per-machine presets of the paper's evaluation (§6.1), fully
-/// optimized.  All three share the same defaults — scheduler, deps and
-/// allocator choice never vary by machine, only the topology does.
-/// `numCpus == 0` keeps the preset's native core count (the
-/// makeTopology convention).
-RuntimeConfig makeXeonConfig(std::size_t numCpus = 0);
-RuntimeConfig makeRomeConfig(std::size_t numCpus = 0);
-RuntimeConfig makeGravitonConfig(std::size_t numCpus = 0);
 
 }  // namespace ats

@@ -3,7 +3,6 @@
 #include <memory>
 #include <mutex>
 
-#include "common/topology.hpp"
 #include "sched/scheduler.hpp"
 
 namespace ats {
@@ -17,9 +16,8 @@ class CentralMutexScheduler final : public Scheduler {
  public:
   /// Traced variant emits SchedLockContended for every add that found
   /// the mutex held (and then blocked) — serial insertion made visible.
-  explicit CentralMutexScheduler(
-      Topology topo, std::unique_ptr<SchedulerPolicy> policy = nullptr,
-      Tracer* tracer = nullptr);
+  explicit CentralMutexScheduler(std::unique_ptr<SchedulerPolicy> policy,
+                                 Tracer* tracer = nullptr);
 
   void addReadyTask(Task* task, std::size_t cpu) override;
   Task* getReadyTask(std::size_t cpu) override;
@@ -27,7 +25,6 @@ class CentralMutexScheduler final : public Scheduler {
   const char* name() const override { return "central_mutex"; }
 
  private:
-  Topology topo_;
   std::mutex mutex_;
   std::unique_ptr<SchedulerPolicy> policy_;
 };

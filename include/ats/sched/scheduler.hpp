@@ -71,17 +71,8 @@ class SchedulerPolicy {
   /// batched delegation serve uses, so a combining burst costs the
   /// policy one call instead of one virtual dispatch per waiter.
   /// Returns how many were delivered (< n means the queue ran dry).
-  /// The default loops over getTask; policies override with real bulk
-  /// pops.  Same ordering contract as repeated getTask() calls.
-  virtual std::size_t getTasks(Task** out, std::size_t n) {
-    std::size_t got = 0;
-    while (got < n) {
-      Task* task = getTask();
-      if (task == nullptr) break;
-      out[got++] = task;
-    }
-    return got;
-  }
+  /// Same ordering contract as repeated getTask() calls.
+  virtual std::size_t getTasks(Task** out, std::size_t n) = 0;
 
   /// Tasks queued right now.  The delegation serve sizes each waiter's
   /// share from it (see SyncScheduler).

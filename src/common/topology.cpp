@@ -25,7 +25,6 @@ std::size_t presetCpus(MachinePreset preset) {
 
 Topology makeTopology(MachinePreset preset, std::size_t numCpus) {
   Topology t;
-  t.preset = preset;
   t.numCpus = numCpus > 0 ? numCpus : presetCpus(preset);
   return t;
 }

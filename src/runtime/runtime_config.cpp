@@ -44,16 +44,4 @@ RuntimeConfig workStealingRuntimeConfig(const Topology& topo) {
   return config;
 }
 
-RuntimeConfig makeXeonConfig(std::size_t numCpus) {
-  return optimizedConfig(makeTopology(MachinePreset::Xeon, numCpus));
-}
-
-RuntimeConfig makeRomeConfig(std::size_t numCpus) {
-  return optimizedConfig(makeTopology(MachinePreset::Rome, numCpus));
-}
-
-RuntimeConfig makeGravitonConfig(std::size_t numCpus) {
-  return optimizedConfig(makeTopology(MachinePreset::Graviton, numCpus));
-}
-
 }  // namespace ats

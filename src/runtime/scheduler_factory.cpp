@@ -17,7 +17,7 @@ std::unique_ptr<Scheduler> makeScheduler(const RuntimeConfig& config) {
   switch (config.scheduler) {
     case SchedulerKind::CentralMutex:
       return std::make_unique<CentralMutexScheduler>(
-          config.topo, std::make_unique<FifoPolicy>(), config.tracer);
+          std::make_unique<FifoPolicy>(), config.tracer);
     case SchedulerKind::PTLockCentral:
       return std::make_unique<PTLockScheduler>(
           config.topo, std::make_unique<FifoPolicy>(), config.spscCapacity,
@@ -31,10 +31,10 @@ std::unique_ptr<Scheduler> makeScheduler(const RuntimeConfig& config) {
           config.topo, config.spscCapacity, config.tracer);
   }
   // A value outside the enum can only come from memory corruption or a
-  // missed case after adding a kind.  Until PR 6 this path silently
-  // returned nullptr, deferring the failure to a null deref inside the
-  // Runtime; fail loudly at the source instead (ats::fatal also gives
-  // any attached tracer its last flush through the fatal hook).
+  // missed case after adding a kind.  Returning nullptr would defer the
+  // failure to a null deref inside the Runtime; fail loudly at the source
+  // instead (ats::fatal also gives any attached tracer its last flush
+  // through the fatal hook).
   fatal("makeScheduler: unknown SchedulerKind %d",
         static_cast<int>(config.scheduler));
 }

@@ -3,16 +3,12 @@
 #include <utility>
 
 #include "instr/tracer.hpp"
-#include "sched/policies.hpp"
 
 namespace ats {
 
 CentralMutexScheduler::CentralMutexScheduler(
-    Topology topo, std::unique_ptr<SchedulerPolicy> policy, Tracer* tracer)
-    : Scheduler(tracer),
-      topo_(std::move(topo)),
-      policy_(policy != nullptr ? std::move(policy)
-                                : std::make_unique<FifoPolicy>()) {}
+    std::unique_ptr<SchedulerPolicy> policy, Tracer* tracer)
+    : Scheduler(tracer), policy_(std::move(policy)) {}
 
 void CentralMutexScheduler::addReadyTask(Task* task, std::size_t cpu) {
   // The contention probe (try first, log, then block) runs ONLY under a

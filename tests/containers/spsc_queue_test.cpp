@@ -10,6 +10,9 @@
 namespace ats {
 namespace {
 
+/// consumeN's uncapped form: drain everything published.
+constexpr std::size_t kNoCap = ~std::size_t{0};
+
 TEST(SpscQueue, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(SpscQueue<int>(1).capacity(), 2u);
   EXPECT_EQ(SpscQueue<int>(2).capacity(), 2u);
@@ -77,14 +80,14 @@ TEST(SpscQueue, ConsumeAllDrainsBatchInOrder) {
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.push(i));
 
   std::vector<int> got;
-  const std::size_t n = q.consumeAll([&](int v) { got.push_back(v); });
+  const std::size_t n = q.consumeN(kNoCap, [&](int v) { got.push_back(v); });
   EXPECT_EQ(n, 10u);
   ASSERT_EQ(got.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
   EXPECT_TRUE(q.empty());
 
   // Empty drain is a no-op returning zero.
-  EXPECT_EQ(q.consumeAll([&](int v) { got.push_back(v); }), 0u);
+  EXPECT_EQ(q.consumeN(kNoCap, [&](int v) { got.push_back(v); }), 0u);
   EXPECT_EQ(got.size(), 10u);
 }
 
@@ -96,7 +99,7 @@ TEST(SpscQueue, ConsumeNDrainsBoundedPrefixInOrder) {
   EXPECT_EQ(q.consumeN(4, [&](int v) { got.push_back(v); }), 4u);
   EXPECT_EQ(q.size(), 6u);
   // What stayed behind is still published, still FIFO; an over-large cap
-  // degrades to consumeAll.
+  // drains everything published.
   EXPECT_EQ(q.consumeN(100, [&](int v) { got.push_back(v); }), 6u);
   ASSERT_EQ(got.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], i);
@@ -121,7 +124,7 @@ TEST(SpscQueue, ConsumeNAcrossWrapAround) {
     });
     ASSERT_LE(drained, 3u);
   }
-  q.consumeAll([&](int v) {
+  q.consumeN(kNoCap, [&](int v) {
     ASSERT_EQ(v, expected);
     ++expected;
   });
@@ -177,7 +180,7 @@ TEST(SpscQueue, CrossThreadConsumeAllStress) {
   std::uint64_t sum = 0;
   std::uint64_t prev = 0;
   while (count < kItems) {
-    const std::size_t n = q.consumeAll([&](std::uint64_t v) {
+    const std::size_t n = q.consumeN(kNoCap, [&](std::uint64_t v) {
       ASSERT_EQ(v, prev + 1);  // batches must stay ordered and gapless
       prev = v;
       sum += v;

@@ -18,15 +18,26 @@ constexpr std::uint64_t kIncrementsPerThread = 20000;
 /// The §3.2 correctness bar: 8 threads hammering a plain (non-atomic)
 /// counter under the lock.  Any lost update or missing fence shows up as
 /// a wrong total; TSan additionally checks the happens-before edges.
-template <typename LockT>
+/// With `kPollOddThreads`, odd threads take the lock by polling tryLock
+/// while even threads queue, so the two paths must interoperate.
+template <bool kPollOddThreads = false, typename LockT>
 void contendedIncrement(LockT& lock) {
   std::uint64_t counter = 0;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
+    threads.emplace_back([&, t] {
       for (std::uint64_t i = 0; i < kIncrementsPerThread; ++i) {
-        lock.lock();
+        if constexpr (kPollOddThreads) {
+          if (t % 2 != 0) {
+            SpinWait w;
+            while (!lock.tryLock()) w.spin();  // polling path
+          } else {
+            lock.lock();  // FIFO path
+          }
+        } else {
+          lock.lock();
+        }
         ++counter;
         lock.unlock();
       }
@@ -82,40 +93,28 @@ TEST(Locks, SpinLockTryLock) {
 }
 
 TEST(Locks, PTLockTryLock) {
-  PTLock lock(8);
-  EXPECT_TRUE(lock.tryLock());
-  EXPECT_FALSE(lock.tryLock());  // held
-  lock.unlock();
-  EXPECT_TRUE(lock.tryLock());
-  lock.unlock();
-  lock.lock();  // FIFO and try paths interoperate
-  EXPECT_FALSE(lock.tryLock());
-  lock.unlock();
-  EXPECT_TRUE(lock.tryLock());
-  lock.unlock();
+  // DTLock inherits lock/tryLock/unlock, so it walks the same path.
+  PTLock ptlock(8);
+  DTLock dtlock(8);
+  for (PTLock* lock : {&ptlock, static_cast<PTLock*>(&dtlock)}) {
+    EXPECT_TRUE(lock->tryLock());
+    EXPECT_FALSE(lock->tryLock());  // held
+    lock->unlock();
+    EXPECT_TRUE(lock->tryLock());
+    lock->unlock();
+    lock->lock();  // FIFO and try paths interoperate
+    EXPECT_FALSE(lock->tryLock());
+    lock->unlock();
+    EXPECT_TRUE(lock->tryLock());
+    lock->unlock();
+  }
 }
 
 TEST(Locks, PTLockMixedLockAndTryLockContendedIncrement) {
-  PTLock lock(16);
-  std::uint64_t counter = 0;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::uint64_t i = 0; i < kIncrementsPerThread; ++i) {
-        if (t % 2 == 0) {
-          lock.lock();  // FIFO path
-        } else {
-          SpinWait w;
-          while (!lock.tryLock()) w.spin();  // polling path
-        }
-        ++counter;
-        lock.unlock();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(counter, static_cast<std::uint64_t>(kThreads) *
-                         kIncrementsPerThread);
+  PTLock ptlock(16);
+  contendedIncrement</*kPollOddThreads=*/true>(ptlock);
+  DTLock dtlock(16);  // inherits both paths
+  contendedIncrement</*kPollOddThreads=*/true>(dtlock);
 }
 
 TEST(Locks, DTLockSingleThreadServeProtocol) {
@@ -261,6 +260,55 @@ TEST(Locks, DTLockAnswersCarryEachWaitersOwnExtrasInOrder) {
           << "waiter " << i << " item " << j;
   }
   EXPECT_TRUE(got[kZeroCpu].empty()) << "a 0 answer carried extras";
+}
+
+/// The hold counter after a serve: once a holder has served n queued
+/// delegators, its unlock() must grant the plain lock() caller queued
+/// behind them, which then sees the holder's writes.  `next_` counts the
+/// tickets, so every thread is known to be queued before the serve.
+TEST(Locks, DTLockPlainLockerBehindServedDelegatorsAcquiresOnUnlock) {
+  struct CountingDTLock : DTLock {
+    using DTLock::DTLock;
+    std::uint64_t tickets() const { return next_.load(); }
+  };
+  constexpr std::uint64_t kWaiters = 3;
+  CountingDTLock lock(16);
+  lock.lock();  // ticket 0
+  int written = 0;  // plain data, guarded by the lock
+  int seen = 0;
+  std::vector<std::thread> threads;
+  SpinWait w;
+  for (std::uint64_t t = 0; t < kWaiters; ++t) {  // waiter t: ticket t + 1
+    threads.emplace_back([&, t] {
+      std::uintptr_t items[DTLock::kMaxItems] = {};
+      std::size_t n = 0;
+      ASSERT_FALSE(lock.lockOrDelegate(t, items, n));
+      EXPECT_EQ(n, 1u);
+      EXPECT_EQ(items[0], 100 + t);
+    });
+    while (lock.tickets() < t + 2) w.spin();
+  }
+  threads.emplace_back([&] {  // ticket kWaiters + 1
+    lock.lock();
+    seen = written;
+    lock.unlock();
+  });
+  while (lock.tickets() < kWaiters + 2) w.spin();
+
+  // The snapshot stops at the plain locker: it wants the lock itself.
+  std::uint64_t cpus[kWaiters + 1] = {};
+  while (lock.popWaiters(cpus, kWaiters + 1) < kWaiters) w.spin();
+  ASSERT_EQ(lock.popWaiters(cpus, kWaiters + 1), kWaiters);
+  const std::uintptr_t items[kWaiters] = {100, 101, 102};  // ticket order
+  const std::size_t counts[kWaiters] = {1, 1, 1};
+  lock.serveBatch(cpus, items, counts, kWaiters);
+  EXPECT_EQ(lock.popWaiters(cpus, kWaiters + 1), 0u);  // tickets consumed
+  written = 42;
+  lock.unlock();
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(seen, 42);  // granted by unlock(), after the holder's write
+  EXPECT_TRUE(lock.tryLock());  // and left the lock free, nobody queued
+  lock.unlock();
 }
 
 /// Mirrors the SyncScheduler usage under the §3.2 8-thread stress shape:

@@ -5,12 +5,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "common/failpoint.hpp"
-#include "containers/mpmc_queue.hpp"
+#include "containers/spsc_queue.hpp"
 #include "memory/system_allocator.hpp"
 
 namespace ats {
@@ -266,11 +267,12 @@ TEST(PoolAllocatorTest, CrossDomainChurnConservesBlocksAcrossShards) {
 }
 
 /// 8-thread cross-thread free stress: T0 allocates task-descriptor-
-/// sized blocks and ships them through a shared queue; T1..N free
-/// whatever they receive into their own magazines.  Checks the free-to-
-/// local path under real contention (TSan is the co-assertion), and that
-/// recycling keeps slab growth bounded — blocks must round-trip through
-/// the depot, not accumulate.
+/// sized blocks and deals them round-robin into one SPSC pipe per
+/// consumer; T1..N free whatever they receive into their own magazines.
+/// The pipes are lock-free, so the pool takes all the contention.
+/// Checks the free-to-local path under real contention (TSan is the
+/// co-assertion), and that recycling keeps slab growth bounded — blocks
+/// must round-trip through the depot, not accumulate.
 TEST(PoolAllocatorTest, CrossThreadFreeStressStaysBounded) {
   PoolAllocator& pool = PoolAllocator::instance();
   constexpr std::size_t kSize = 240;
@@ -279,12 +281,15 @@ TEST(PoolAllocatorTest, CrossThreadFreeStressStaysBounded) {
 
   const std::size_t reservedBefore = pool.reservedBytes();
 
-  MpmcQueue<void*> pipe(1024);
+  std::vector<std::unique_ptr<SpscQueue<void*>>> pipes;
+  for (int c = 0; c < kConsumers; ++c)
+    pipes.push_back(std::make_unique<SpscQueue<void*>>(128));
   std::atomic<int> consumed{0};
   std::vector<std::thread> consumers;
   consumers.reserve(kConsumers);
   for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
+    consumers.emplace_back([&, c] {
+      SpscQueue<void*>& pipe = *pipes[static_cast<std::size_t>(c)];
       for (;;) {
         const int seen = consumed.load(std::memory_order_relaxed);
         if (seen >= kRounds) break;
@@ -302,14 +307,12 @@ TEST(PoolAllocatorTest, CrossThreadFreeStressStaysBounded) {
   for (int i = 0; i < kRounds; ++i) {
     void* p = pool.allocate(kSize);
     std::memset(p, 0x5A, kSize);
+    SpscQueue<void*>& pipe = *pipes[static_cast<std::size_t>(i % kConsumers)];
     while (!pipe.push(p)) std::this_thread::yield();
   }
   for (std::thread& t : consumers) t.join();
-  // Drain stragglers the consumers' exit check left behind.
-  void* p = nullptr;
-  while (pipe.pop(p)) pool.deallocate(p, kSize);
 
-  // 20k blocks round-tripped through at most (queue + magazines) live
+  // 20k blocks round-tripped through at most (pipes + magazines) live
   // at once; slab growth must reflect that window, not the total.
   const std::size_t grown = pool.reservedBytes() - reservedBefore;
   EXPECT_LT(grown, 4u * 1024 * 1024)

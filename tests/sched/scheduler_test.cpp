@@ -28,7 +28,8 @@ std::unique_ptr<Scheduler> makeByName(const std::string& which,
                                       std::size_t spscCapacity = 256) {
   const Topology topo = testTopo(cpus);
   if (which == "central_mutex")
-    return std::make_unique<CentralMutexScheduler>(topo);
+    return std::make_unique<CentralMutexScheduler>(
+        std::make_unique<FifoPolicy>());
   if (which == "ptlock")
     return std::make_unique<PTLockScheduler>(
         topo, std::make_unique<FifoPolicy>());
@@ -456,38 +457,20 @@ TEST(PolicyTest, FifoIsPlainFifo) {
 
 TEST(PolicyTest, BulkGetTasksMatchesRepeatedGetTask) {
   // The bulk form must deliver the same multiset in the same order as
-  // N getTask calls — for FifoPolicy's override AND the base-class
-  // default loop (exercised through a minimal adapter).
-  struct DefaultLoopFifo : SchedulerPolicy {
-    FifoPolicy inner;
-    void addTask(Task* t) override { inner.addTask(t); }
-    Task* getTask() override { return inner.getTask(); }
-    // getTasks NOT overridden: runs SchedulerPolicy's default loop.
-    std::size_t size() const override { return inner.size(); }
-    const char* policyName() const override { return "default_loop"; }
-  };
-
+  // N getTask calls.
   std::vector<Task> pool(10);
-  const auto fill = [&](SchedulerPolicy& p) {
-    for (auto& t : pool) p.addTask(&t);
-  };
-
   FifoPolicy fifo;
-  DefaultLoopFifo defaulted;
-  for (SchedulerPolicy* p : {static_cast<SchedulerPolicy*>(&fifo),
-                             static_cast<SchedulerPolicy*>(&defaulted)}) {
-    fill(*p);
-    Task* out[16] = {};
-    // Ask for more than available: got reports the true count.
-    EXPECT_EQ(p->getTasks(out, 16), pool.size()) << p->policyName();
-    std::vector<Task*> bulk(out, out + pool.size());
+  for (auto& t : pool) fifo.addTask(&t);
+  Task* out[16] = {};
+  // Ask for more than available: got reports the true count.
+  EXPECT_EQ(fifo.getTasks(out, 16), pool.size());
+  std::vector<Task*> bulk(out, out + pool.size());
 
-    fill(*p);
-    std::vector<Task*> oneByOne;
-    while (Task* t = p->getTask()) oneByOne.push_back(t);
-    EXPECT_EQ(bulk, oneByOne) << p->policyName();
-    EXPECT_EQ(p->getTasks(out, 4), 0u) << p->policyName();
-  }
+  for (auto& t : pool) fifo.addTask(&t);
+  std::vector<Task*> oneByOne;
+  while (Task* t = fifo.getTask()) oneByOne.push_back(t);
+  EXPECT_EQ(bulk, oneByOne);
+  EXPECT_EQ(fifo.getTasks(out, 4), 0u);
 }
 
 }  // namespace
