@@ -20,6 +20,7 @@
 #include <string>
 
 #include "apps/app.hpp"
+#include "bench/fig_common.hpp"
 #include "common/env.hpp"
 #include "instr/trace_analyzer.hpp"
 #include "instr/trace_writer.hpp"
@@ -71,10 +72,10 @@ TraceAnalysis runVariant(const char* label, SchedulerKind sched,
 }  // namespace
 
 int main() {
-  const std::size_t threads = envSize("ATS_THREADS", 4);
+  const std::size_t threads = bench::figureWorkers();
   const std::string traceDir = envString("ATS_TRACE_DIR", ".");
   std::printf("# fig10: scheduler lock comparison under fine-grained "
-              "miniAMR flood (%zu threads)\n\n", threads);
+              "miniAMR flood (%zu workers)\n\n", threads);
 
   const TraceAnalysis dt =
       runVariant("dtlock", SchedulerKind::SyncDelegation, threads, traceDir);

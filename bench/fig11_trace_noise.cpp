@@ -13,6 +13,7 @@
 #include <string>
 
 #include "apps/app.hpp"
+#include "bench/fig_common.hpp"
 #include "common/env.hpp"
 #include "instr/noise_injector.hpp"
 #include "instr/trace_analyzer.hpp"
@@ -23,10 +24,10 @@
 using namespace ats;
 
 int main() {
-  const std::size_t threads = envSize("ATS_THREADS", 4);
+  const std::size_t threads = bench::figureWorkers();
   const std::string traceDir = envString("ATS_TRACE_DIR", ".");
   std::printf("# fig11: OS-noise effect on the scheduler "
-              "(%zu threads, synthetic irq bursts)\n\n", threads);
+              "(%zu workers, synthetic irq bursts)\n\n", threads);
 
   Tracer tracer(threads, 1u << 18);
   RuntimeConfig cfg =

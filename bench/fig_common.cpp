@@ -29,13 +29,16 @@ const std::vector<Variant>& runtimeComparisonVariants() {
   return v;
 }
 
-SweepConfig resolveSweepConfig(MachinePreset preset) {
+std::size_t figureWorkers() {
+  const std::size_t cpus = makeTopology(MachinePreset::Host).numCpus;
+  return envSize("ATS_THREADS", cpus > 1 ? cpus - 1 : 1);
+}
+
+SweepConfig resolveSweepConfig() {
   SweepConfig cfg;
   const bool full = envFlag("ATS_FULL");
   cfg.scale = full ? AppScale::Full : AppScale::Quick;
-  const std::size_t defaultThreads =
-      full ? makeTopology(preset).numCpus : 4;
-  cfg.topo = makeTopology(preset, envSize("ATS_THREADS", defaultThreads));
+  cfg.topo = makeTopology(MachinePreset::Host, figureWorkers());
   cfg.reps = envSize("ATS_REPS", full ? 5 : 2);
   cfg.maxPoints = full ? 64 : 5;
   return cfg;
@@ -56,17 +59,16 @@ std::vector<std::size_t> selectSizes(std::vector<std::size_t> sizes,
 
 }  // namespace
 
-void runFigure(const std::string& figure, MachinePreset preset,
-               const std::vector<std::string>& apps,
+void runFigure(const std::string& figure,
                const std::vector<Variant>& variants) {
-  const SweepConfig cfg = resolveSweepConfig(preset);
-  std::printf("# %s: %s preset, %zu threads, %zu reps, %s scale\n",
-              figure.c_str(), presetName(preset), cfg.topo.numCpus, cfg.reps,
+  const SweepConfig cfg = resolveSweepConfig();
+  std::printf("# %s: %zu workers, %zu reps, %s scale\n", figure.c_str(),
+              cfg.topo.numCpus, cfg.reps,
               cfg.scale == AppScale::Full ? "full" : "quick");
   std::printf("# efficiency = 100 * throughput / peak-throughput-per-app "
               "(paper §6.2); higher is better\n\n");
 
-  for (const std::string& appName : apps) {
+  for (const std::string& appName : appNames()) {
     auto app = makeApp(appName, cfg.scale);
     const auto sizes = selectSizes(app->defaultBlockSizes(), cfg.maxPoints);
 

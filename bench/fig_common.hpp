@@ -27,11 +27,15 @@ const std::vector<Variant>& ablationVariants();
 /// work-stealing scheduler respectively.
 const std::vector<Variant>& runtimeComparisonVariants();
 
+/// Worker threads of every figure harness: ATS_THREADS when set,
+/// otherwise one fewer than the host's CPUs (at least 1), so the thread
+/// that spawns and waits keeps a core of its own.
+std::size_t figureWorkers();
+
 /// Sweep parameters resolved from the environment:
-///   ATS_THREADS  worker threads   (default: 4 quick / preset count full)
-///   ATS_FULL     full paper-sized sweep (default: quick)
+///   ATS_THREADS  worker threads   (see figureWorkers)
+///   ATS_FULL     paper-sized problems and full grids (default: quick)
 ///   ATS_REPS     repetitions      (default: 2 quick / 5 full)
-///   ATS_TRACE_DIR where fig10/fig11 write trace files (default: ".")
 struct SweepConfig {
   Topology topo;
   std::size_t reps = 2;
@@ -39,14 +43,14 @@ struct SweepConfig {
   std::size_t maxPoints = 5;  ///< granularity points per curve (quick cap)
 };
 
-SweepConfig resolveSweepConfig(MachinePreset preset);
+SweepConfig resolveSweepConfig();
 
-/// Run one paper figure: for each app, sweep block sizes on every
-/// variant, compute the paper's efficiency metric (percent of the peak
-/// performance observed across the app's whole grid), and print one table
-/// per app:
+/// Run one paper figure over all eight apps: for each app, sweep block
+/// sizes on every variant, compute the paper's efficiency metric
+/// (percent of the peak performance observed across the app's whole
+/// grid), and print one table per app:
 ///
-///   # fig4 lulesh (xeon preset, 4 threads, 2 reps)
+///   # fig_ablation lulesh
 ///   grain_work_units  optimized  wo_jemalloc  wo_waitfree_deps  wo_dtlock
 ///   2.1e6             100.0      97.3         95.1              98.8
 ///   ...
@@ -54,8 +58,6 @@ SweepConfig resolveSweepConfig(MachinePreset preset);
 /// Every run is verified against the app's serial reference; a
 /// verification failure aborts the figure (a benchmark that computes the
 /// wrong answer measures nothing).
-void runFigure(const std::string& figure, MachinePreset preset,
-               const std::vector<std::string>& apps,
-               const std::vector<Variant>& variants);
+void runFigure(const std::string& figure, const std::vector<Variant>& variants);
 
 }  // namespace ats::bench

@@ -1,13 +1,7 @@
-// Ablation sweeps for the design choices DESIGN.md calls out beyond the
-// paper's three headline optimizations:
-//
-//  * SPSC add-buffer capacity (paper Listing 5 hardcodes 100; we default
-//    to 256 — how sensitive is throughput to it, including the overflow
-//    help-drain path at tiny capacities?)
-//  * the scheduler design itself on identical deps/alloc
-//
-// Each configuration runs the same fine-grained chain workload through
-// the full runtime; items/sec = tasks executed per second.
+// The scheduler designs on identical deps/alloc: the runtime-level
+// comparison behind §3.4's ordering.  Each kind runs the same
+// fine-grained inout-chain workload through the full runtime; items/sec
+// = tasks executed per second.
 #include <benchmark/benchmark.h>
 
 #include "runtime/runtime.hpp"
@@ -19,7 +13,12 @@ using namespace ats;
 constexpr std::size_t kThreads = 4;
 constexpr int kBatch = 2000;
 
-void runWorkload(benchmark::State& state, const RuntimeConfig& cfg) {
+void BM_SchedulerKind(benchmark::State& state) {
+  // WorkStealing is the real per-deque Chase–Lev design (micro_steal
+  // digs into its internals).
+  RuntimeConfig cfg = optimizedConfig(makeTopology(MachinePreset::Host,
+                                                   kThreads));
+  cfg.scheduler = static_cast<SchedulerKind>(state.range(0));
   Runtime rt(cfg);
   long long vars[32] = {};
   for (auto _ : state) {
@@ -30,27 +29,6 @@ void runWorkload(benchmark::State& state, const RuntimeConfig& cfg) {
     rt.taskwait();
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
-}
-
-void BM_SpscCapacity(benchmark::State& state) {
-  RuntimeConfig cfg = optimizedConfig(makeTopology(MachinePreset::Host,
-                                                   kThreads));
-  cfg.spscCapacity = static_cast<std::size_t>(state.range(0));
-  runWorkload(state, cfg);
-}
-BENCHMARK(BM_SpscCapacity)
-    ->Arg(4)->Arg(32)->Arg(100)->Arg(256)->Arg(2048)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SchedulerKind(benchmark::State& state) {
-  // The scheduler architectures on identical deps/alloc.  WorkStealing
-  // is the real per-deque Chase–Lev design as of PR 6 (micro_steal digs
-  // into its internals); the old "Hierarchical" (§7) spelling named a
-  // design this repo never grew and is dropped from the sweep.
-  RuntimeConfig cfg = optimizedConfig(makeTopology(MachinePreset::Host,
-                                                   kThreads));
-  cfg.scheduler = static_cast<SchedulerKind>(state.range(0));
-  runWorkload(state, cfg);
 }
 BENCHMARK(BM_SchedulerKind)
     ->Arg(int(SchedulerKind::SyncDelegation))

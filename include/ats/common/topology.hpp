@@ -4,14 +4,10 @@
 
 namespace ats {
 
-/// The machines of the paper's evaluation (§6.1) plus the host we happen
-/// to run on.  Presets fix the CPU count so figure output is comparable
-/// across hosts; `Host` adapts to the current machine.
+/// Where a topology's CPU count comes from.  Only the host we run on:
+/// every figure sizes itself from it (or from ATS_THREADS).
 enum class MachinePreset {
-  Host,      ///< whatever std::thread::hardware_concurrency reports
-  Xeon,      ///< 2x Intel Xeon Platinum 8160 (24c each)
-  Rome,      ///< 2x AMD EPYC 7742 (64c each)
-  Graviton,  ///< AWS Graviton2, 64 cores
+  Host,  ///< whatever std::thread::hardware_concurrency reports
 };
 
 /// CPU shape the runtime layers size themselves from: one SPSC
@@ -29,12 +25,8 @@ struct Topology {
   std::size_t slotCount() const { return numCpus + reservedSlots; }
 };
 
-/// Build a topology for `preset`.  `numCpus == 0` keeps the preset's
-/// native core count; any other value overrides it (the ATS_THREADS
-/// knob).
+/// Build a topology of `numCpus` CPUs; `numCpus == 0` takes the host's
+/// hardware concurrency (at least 1).
 Topology makeTopology(MachinePreset preset, std::size_t numCpus = 0);
-
-/// Lower-case preset tag used in figure headers ("host", "xeon", ...).
-const char* presetName(MachinePreset preset);
 
 }  // namespace ats

@@ -26,16 +26,20 @@ struct DepTask;
 /// this is what keeps an attached reader's registration at a single RMW.
 /// Every reader fetch_subs 1 at completion, so `pending` may go negative
 /// (down to -attachedRegistrations) before the close.
-/// NOTE (allocation fast path): ReadGroup and AccessNode are RAW
-/// storage — no default member initializers.  Descriptors are allocated
-/// per spawn under eager reclamation, and zeroing eight embedded access
-/// nodes per task would dominate the §2 round-trip cost; instead, every
-/// field is written by the registration path before anything reads it
-/// (registerWrite re-arms `succGroup`, readers set their links before
-/// attaching, the fine-grained queue links are set under the object
-/// lock).  Containers embedding a ReadGroup that is NOT re-armed by a
-/// registration (the object table's root group) must initialize it
-/// themselves.
+/// NOTE (allocation fast path): ReadGroup and AccessNode declare no
+/// default member initializers, and every field is written by the
+/// registration path before anything reads it (registerWrite re-arms
+/// `succGroup`, readers set their links before attaching, the
+/// fine-grained queue links are set under the object lock).  The nodes
+/// are NOT raw storage, though: under C++20 `std::atomic`'s default
+/// constructor value-initializes (P0883; libstdc++'s `_GLIBCXX20_INIT`),
+/// so constructing a descriptor zeroes each node's four atomics.  The
+/// Release `Runtime::allocateTask` emits 32 eight-byte zero stores at
+/// offsets 0x30-0x3e0 on every spawn, whatever the access count.
+/// Removing them is ROADMAP's "stop zeroing the eight unused access
+/// nodes on every spawn".  Containers embedding a ReadGroup that is NOT
+/// re-armed by a registration (the object table's root group) must
+/// initialize it themselves.
 struct ReadGroup {
   static constexpr std::int64_t kClosedBias = std::int64_t{1} << 32;
 

@@ -144,28 +144,26 @@ class TWALock {
     const std::uint64_t ticket =
         next_.fetch_add(1, std::memory_order_relaxed);
     SpinWait w;
-    for (;;) {
-      const std::uint64_t serving =
-          serving_.load(std::memory_order_acquire);
-      if (serving == ticket) return;
-      if (ticket - serving <= kNearThreshold) {
-        w.spin();  // close to the front: spin on serving_ directly
-      } else {
-        // Far from the front: park on the hashed array slot so releases
-        // do not broadcast to us through serving_ — that bounded
-        // invalidation set is the whole point of TWA.  The slot recheck
-        // is bounded (not unconditional) so a nudge that fired between
-        // the outer serving_ read and `seen` cannot strand us.
-        const std::uint64_t seen =
-            waitArray_[slotOf(ticket)].load(std::memory_order_acquire);
-        for (int i = 0; i < kFarSpinBound &&
-                        waitArray_[slotOf(ticket)].load(
-                            std::memory_order_acquire) == seen;
-             ++i) {
-          w.spin();
-        }
+    if (ticket - serving_.load(std::memory_order_acquire) > kNearThreshold) {
+      // Far from the front: park on the hashed array slot so releases
+      // do not broadcast to us through serving_ — that bounded
+      // invalidation set is the whole point of TWA.  Dice and Kogan's
+      // order: read the slot, THEN re-check serving_.  A release stores
+      // serving_ before it bumps the slot, so a bump we did not see in
+      // `seen` either comes later (and ends the wait) or published a
+      // serving_ the re-check reads.  Reading serving_ first would let
+      // the bump land between the two loads and be lost.
+      PaddedCounter& slot = waitArray_[slotOf(ticket)];
+      for (;;) {
+        const std::uint64_t seen = slot.load(std::memory_order_acquire);
+        if (ticket - serving_.load(std::memory_order_acquire) <=
+            kNearThreshold)
+          break;
+        while (slot.load(std::memory_order_acquire) == seen) w.spin();
       }
     }
+    // Close to the front: spin on serving_ directly.
+    while (serving_.load(std::memory_order_acquire) != ticket) w.spin();
   }
 
   void unlock() {
@@ -180,7 +178,6 @@ class TWALock {
 
  private:
   static constexpr std::uint64_t kNearThreshold = 1;
-  static constexpr int kFarSpinBound = 1024;
   static constexpr std::size_t kSlots = 64;
 
   static std::size_t slotOf(std::uint64_t ticket) {

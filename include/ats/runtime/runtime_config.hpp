@@ -40,11 +40,6 @@ struct RuntimeConfig {
   /// role); false = plain system malloc.
   bool usePoolAllocator = true;
 
-  /// Slots in each per-CPU SPSC add-buffer (SyncDelegation and
-  /// PTLockCentral), and the initial per-CPU deque capacity under
-  /// WorkStealing (same "per-CPU buffer" knob; the deque grows past it).
-  std::size_t spscCapacity = 256;
-
   /// Stall watchdog (failure domains): 0 disables; a positive value
   /// starts one monitor thread per Runtime that fires when tasks are in
   /// flight but no task has retired for this many milliseconds — dumping

@@ -22,7 +22,7 @@ class PTLockScheduler final : public Scheduler {
   /// SchedLockContended once per overflow episode that finds the lock
   /// busy — the "creator core fights for the lock" signal of fig10.
   PTLockScheduler(Topology topo, std::unique_ptr<SchedulerPolicy> policy,
-                  std::size_t spscCapacity = 256,
+                  std::size_t spscCapacity = kPerCpuBufferCapacity,
                   Tracer* tracer = nullptr);
 
   void addReadyTask(Task* task, std::size_t cpu) override;

@@ -8,6 +8,14 @@ namespace ats {
 
 struct Task;
 
+/// Slots in each per-CPU SPSC add-buffer, and the initial per-CPU deque
+/// capacity under work stealing.  §3.1's Listing 5 hardcodes 100; this
+/// is the next power of two up.  On 4 cores every capacity from 32 to
+/// 2048 read the same throughput (EXPERIMENTS.md, "micro_ablation"), so
+/// it is not a runtime knob; the constructors take it only so tests can
+/// force the overflow path with tiny buffers.
+inline constexpr std::size_t kPerCpuBufferCapacity = 256;
+
 /// The synchronized scheduler surface the runtime's worker loop talks to.
 /// `cpu` is the caller's logical CPU index within the runtime's Topology;
 /// implementations use it to select the caller's own SPSC buffer, deque

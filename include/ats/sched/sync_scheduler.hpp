@@ -53,14 +53,14 @@ class SyncScheduler final : public Scheduler {
   static constexpr std::size_t kMaxShare = DTLock::kMaxItems;
   static_assert(kMaxShare == 8, "one 64-byte result line of task pointers");
 
-  /// §3.1: "can be configured from a single one to one per core".  The
-  /// paper's Listing 5 hardcodes 100 add-buffer slots; we default to the
-  /// next power of two up.  micro_ablation sweeps it.
+  /// §3.1: "can be configured from a single one to one per core".
+  /// `spscCapacity` sizes each add-buffer (kPerCpuBufferCapacity).
   ///
   /// Traced variant emits SchedDrain per non-empty add-buffer drain and
   /// one SchedServe per serve batch with the hand-off count as payload.
   SyncScheduler(Topology topo, std::unique_ptr<SchedulerPolicy> policy,
-                std::size_t spscCapacity = 256, Tracer* tracer = nullptr);
+                std::size_t spscCapacity = kPerCpuBufferCapacity,
+                Tracer* tracer = nullptr);
 
   void addReadyTask(Task* task, std::size_t cpu) override;
   Task* getReadyTask(std::size_t cpu) override;

@@ -43,9 +43,9 @@ class WorkStealingScheduler final : public Scheduler {
  public:
   /// `dequeCapacity` is the initial per-slot deque capacity; the deque
   /// grows past it on demand, so unlike the SPSC schedulers there is no
-  /// overflow protocol to size against.  RuntimeConfig passes
-  /// `spscCapacity` here (the same "per-CPU buffer" knob).
-  WorkStealingScheduler(const Topology& topo, std::size_t dequeCapacity = 256,
+  /// overflow protocol to size against.
+  WorkStealingScheduler(const Topology& topo,
+                        std::size_t dequeCapacity = kPerCpuBufferCapacity,
                         Tracer* tracer = nullptr);
 
   void addReadyTask(Task* task, std::size_t cpu) override;

@@ -177,10 +177,12 @@ void Runtime::spawn(std::initializer_list<Access> accesses,
 
 Task* Runtime::allocateTask() {
   static_assert(alignof(Task) <= Allocator::kAlignment);
-  // Default-init, NOT value-init: Task() would zero the whole
-  // descriptor (1KB+ of access-node storage) before the member
-  // initializers run; the registration path initializes every access
-  // field it uses (see dep_task.hpp).
+  // Default-init, not value-init, so the plain access-node fields stay
+  // unwritten; the registration path initializes every access field it
+  // uses.  The nodes' std::atomic members are still zeroed (C++20
+  // value-initializes them: 32 eight-byte stores per spawn); see
+  // dep_task.hpp's "NOTE (allocation fast path)" and the ROADMAP item
+  // on zeroing the unused access nodes.
   Task* task = ::new (alloc_->allocate(sizeof(Task))) Task;
   task->runtime = this;
   // One execution reference, dropped after the completion path releases

@@ -20,15 +20,15 @@ std::unique_ptr<Scheduler> makeScheduler(const RuntimeConfig& config) {
           std::make_unique<FifoPolicy>(), config.tracer);
     case SchedulerKind::PTLockCentral:
       return std::make_unique<PTLockScheduler>(
-          config.topo, std::make_unique<FifoPolicy>(), config.spscCapacity,
+          config.topo, std::make_unique<FifoPolicy>(), kPerCpuBufferCapacity,
           config.tracer);
     case SchedulerKind::SyncDelegation:
       return std::make_unique<SyncScheduler>(
-          config.topo, std::make_unique<FifoPolicy>(), config.spscCapacity,
+          config.topo, std::make_unique<FifoPolicy>(), kPerCpuBufferCapacity,
           config.tracer);
     case SchedulerKind::WorkStealing:
       return std::make_unique<WorkStealingScheduler>(
-          config.topo, config.spscCapacity, config.tracer);
+          config.topo, kPerCpuBufferCapacity, config.tracer);
   }
   // A value outside the enum can only come from memory corruption or a
   // missed case after adding a kind.  Returning nullptr would defer the

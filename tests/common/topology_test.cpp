@@ -5,19 +5,13 @@
 namespace ats {
 namespace {
 
-TEST(Topology, PresetShapesMatchThePaperMachines) {
-  EXPECT_EQ(makeTopology(MachinePreset::Xeon).numCpus, 48u);
-  EXPECT_EQ(makeTopology(MachinePreset::Rome).numCpus, 128u);
-  EXPECT_EQ(makeTopology(MachinePreset::Graviton).numCpus, 64u);
-}
-
 TEST(Topology, HostPresetHasAtLeastOneCpu) {
   const Topology host = makeTopology(MachinePreset::Host);
   EXPECT_GE(host.numCpus, 1u);
 }
 
 TEST(Topology, CpuCountOverrideKeepsThePreset) {
-  const Topology t = makeTopology(MachinePreset::Rome, 4);
+  const Topology t = makeTopology(MachinePreset::Host, 4);
   EXPECT_EQ(t.numCpus, 4u);
 }
 
@@ -28,13 +22,6 @@ TEST(Topology, ReservedSlotsCountAsSlotsNotCpus) {
   topo.reservedSlots = 1;
   EXPECT_EQ(topo.numCpus, 4u);
   EXPECT_EQ(topo.slotCount(), 5u);
-}
-
-TEST(Topology, PresetNames) {
-  EXPECT_STREQ(presetName(MachinePreset::Host), "host");
-  EXPECT_STREQ(presetName(MachinePreset::Xeon), "xeon");
-  EXPECT_STREQ(presetName(MachinePreset::Rome), "rome");
-  EXPECT_STREQ(presetName(MachinePreset::Graviton), "graviton");
 }
 
 }  // namespace

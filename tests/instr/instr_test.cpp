@@ -421,8 +421,6 @@ TEST(TracedRuntimeTest, EverySchedulerKindEmitsUnderTracing) {
     Tracer tracer(2, 1u << 14);
     RuntimeConfig cfg = optimizedConfig(makeTopology(MachinePreset::Host, 2));
     cfg.scheduler = kind;
-    // Tiny add-buffers force the overflow/contention paths under trace.
-    cfg.spscCapacity = 4;
     cfg.tracer = &tracer;
     {
       Runtime rt(cfg);

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "instr/tracer.hpp"
 #include "runtime/task.hpp"
 
 namespace ats {
@@ -23,39 +24,44 @@ Topology testTopo(std::size_t cpus) {
   return makeTopology(MachinePreset::Host, cpus);
 }
 
-std::unique_ptr<Scheduler> makeByName(const std::string& which,
-                                      std::size_t cpus,
-                                      std::size_t spscCapacity = 256) {
+/// Slots of the "_wide" variants: well past the 64-entry floor the lock
+/// constructors apply to their waiting arrays.
+constexpr std::size_t kWideSlots = 96;
+
+std::unique_ptr<Scheduler> makeByName(
+    const std::string& which, std::size_t cpus,
+    std::size_t spscCapacity = kPerCpuBufferCapacity,
+    Tracer* tracer = nullptr) {
   const Topology topo = testTopo(cpus);
   if (which == "central_mutex")
     return std::make_unique<CentralMutexScheduler>(
         std::make_unique<FifoPolicy>());
   if (which == "ptlock")
     return std::make_unique<PTLockScheduler>(
-        topo, std::make_unique<FifoPolicy>());
+        topo, std::make_unique<FifoPolicy>(), spscCapacity, tracer);
   if (which == "work_steal")
     return std::make_unique<WorkStealingScheduler>(topo, spscCapacity);
-  // Rome-preset variants size the scheduler for the preset's full 128
-  // slots while the test only ever touches the first `cpus`: every drain
-  // and refill walks a ring array that is almost all empty.
-  if (which == "sync_dtlock_rome")
-    return std::make_unique<SyncScheduler>(makeTopology(MachinePreset::Rome),
+  // Wide variants size the scheduler for kWideSlots slots while the test
+  // only ever touches the first `cpus`: every drain and refill walks a
+  // ring array that is almost all empty.
+  if (which == "sync_dtlock_wide")
+    return std::make_unique<SyncScheduler>(testTopo(kWideSlots),
                                            std::make_unique<FifoPolicy>(),
                                            spscCapacity);
-  if (which == "ptlock_rome")
-    return std::make_unique<PTLockScheduler>(makeTopology(MachinePreset::Rome),
+  if (which == "ptlock_wide")
+    return std::make_unique<PTLockScheduler>(testTopo(kWideSlots),
                                              std::make_unique<FifoPolicy>(),
                                              spscCapacity);
   return std::make_unique<SyncScheduler>(
-      topo, std::make_unique<FifoPolicy>(), spscCapacity);
+      topo, std::make_unique<FifoPolicy>(), spscCapacity, tracer);
 }
 
 class EverySchedulerTest : public ::testing::TestWithParam<std::string> {};
 
 INSTANTIATE_TEST_SUITE_P(Designs, EverySchedulerTest,
                          ::testing::Values("central_mutex", "ptlock",
-                                           "ptlock_rome", "sync_dtlock",
-                                           "sync_dtlock_rome", "work_steal"));
+                                           "ptlock_wide", "sync_dtlock",
+                                           "sync_dtlock_wide", "work_steal"));
 
 TEST_P(EverySchedulerTest, EmptySchedulerReturnsNull) {
   auto sched = makeByName(GetParam(), 4);
@@ -75,13 +81,12 @@ TEST_P(EverySchedulerTest, SingleThreadFifoRoundTrip) {
   EXPECT_EQ(sched->getReadyTask(1), nullptr);
 }
 
-/// One producer, three consumers: every enqueued task pointer must come
-/// back exactly once — the conservation law the micro_dtlock flood
-/// assumes.  Runs the exact thread shape of the bench.
-TEST_P(EverySchedulerTest, FloodConservesTasksExactlyOnce) {
+/// One producer on CPU 0, `kConsumers` getters on CPUs 1..kConsumers:
+/// every enqueued task pointer must come back exactly once.
+constexpr int kConsumers = 3;
+
+void floodConservesExactlyOnce(Scheduler& sched) {
   constexpr std::size_t kTasks = 20000;
-  constexpr int kConsumers = 3;
-  auto sched = makeByName(GetParam(), kConsumers + 1);
   std::vector<Task> pool(kTasks);
 
   std::atomic<std::size_t> retrieved{0};
@@ -89,13 +94,13 @@ TEST_P(EverySchedulerTest, FloodConservesTasksExactlyOnce) {
 
   std::vector<std::thread> threads;
   threads.emplace_back([&] {
-    for (auto& t : pool) sched->addReadyTask(&t, 0);
+    for (auto& t : pool) sched.addReadyTask(&t, 0);
   });
   for (int c = 0; c < kConsumers; ++c) {
     threads.emplace_back([&, c] {
       const std::size_t cpu = static_cast<std::size_t>(c) + 1;
       while (retrieved.load(std::memory_order_relaxed) < kTasks) {
-        Task* t = sched->getReadyTask(cpu);
+        Task* t = sched.getReadyTask(cpu);
         if (t != nullptr) {
           got[static_cast<std::size_t>(c)].push_back(t);
           retrieved.fetch_add(1, std::memory_order_relaxed);
@@ -114,7 +119,31 @@ TEST_P(EverySchedulerTest, FloodConservesTasksExactlyOnce) {
   for (std::size_t i = 0; i < kTasks; ++i) {
     ASSERT_EQ(all[i], &pool[i]) << "a task was lost or handed out twice";
   }
-  EXPECT_EQ(sched->getReadyTask(0), nullptr);
+  EXPECT_EQ(sched.getReadyTask(0), nullptr);
+}
+
+TEST_P(EverySchedulerTest, FloodConservesTasksExactlyOnce) {
+  floodConservesExactlyOnce(*makeByName(GetParam(), kConsumers + 1));
+}
+
+/// The add-buffer overflow path under the tracer: with 4-slot buffers
+/// the producer's adds overflow constantly while three getters run.
+/// Every task must come back exactly once, and the trace must show the
+/// add-buffers being drained into the policy.
+class TinyBufferTracedFloodTest
+    : public ::testing::TestWithParam<std::string> {};
+
+INSTANTIATE_TEST_SUITE_P(Buffered, TinyBufferTracedFloodTest,
+                         ::testing::Values("ptlock", "sync_dtlock"));
+
+TEST_P(TinyBufferTracedFloodTest, ConservesExactlyOnceAndTracesDrains) {
+  Tracer tracer(kConsumers + 1, 1u << 16);
+  floodConservesExactlyOnce(
+      *makeByName(GetParam(), kConsumers + 1, /*spscCapacity=*/4, &tracer));
+  std::size_t drains = 0;
+  for (const TraceRecord& r : tracer.collect())
+    if (r.event == TraceEvent::SchedDrain) ++drains;
+  EXPECT_GE(drains, 1u);
 }
 
 TEST(SyncSchedulerTest, OverflowDrainLosesNothingAndKeepsOrder) {
