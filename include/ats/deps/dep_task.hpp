@@ -7,98 +7,16 @@
 
 namespace ats {
 
-struct DepTask;
-
-/// The readers between two writes on one object (or before the first
-/// write: the object's root group).  The next write "closes" the group
-/// by adding `kClosedBias` plus the attached-reader count, and parks
-/// itself in `closingWrite`; whoever moves `pending` to exactly
-/// `kClosedBias` last-reader-out resolves that write's group
-/// precondition.  Embedded in every write access node, so a group lives
-/// exactly as long as the task that owns the preceding write.
-///
-/// Readers contribute to `pending` two ways: one fetch_add at
-/// registration when they resolved themselves (no write to attach to, or
-/// it already completed), or — for readers attached to the preceding
-/// write's list — a plain `attachedRegistrations` increment that the
-/// closing write folds into its bias add.  Registration on one object is
-/// serialized (the sibling-task rule), so the plain field never races;
-/// this is what keeps an attached reader's registration at a single RMW.
-/// Every reader fetch_subs 1 at completion, so `pending` may go negative
-/// (down to -attachedRegistrations) before the close.
-/// NOTE (allocation fast path): ReadGroup and AccessNode declare no
-/// default member initializers, and every field is written by the
-/// registration path before anything reads it (registerWrite re-arms
-/// `succGroup`, readers set their links before attaching, the
-/// fine-grained queue links are set under the object lock).  The nodes
-/// are NOT raw storage, though: under C++20 `std::atomic`'s default
-/// constructor value-initializes (P0883; libstdc++'s `_GLIBCXX20_INIT`),
-/// so constructing a descriptor zeroes each node's four atomics.  The
-/// Release `Runtime::allocateTask` emits 32 eight-byte zero stores at
-/// offsets 0x30-0x3e0 on every spawn, whatever the access count.
-/// Removing them is ROADMAP's "stop zeroing the eight unused access
-/// nodes on every spawn".  Containers embedding a ReadGroup that is NOT
-/// re-armed by a registration (the object table's root group) must
-/// initialize it themselves.
-struct ReadGroup {
-  static constexpr std::int64_t kClosedBias = std::int64_t{1} << 32;
-
-  std::atomic<std::int64_t> pending;
-  std::atomic<struct AccessNode*> closingWrite;
-  std::int64_t attachedRegistrations;
-};
-
-/// One registered access in an object's dependency chain.  The wait-free
-/// ASM drives the atomic `state`/`successor` fields; the fine-grained
-/// locking fallback uses the `prevQ`/`nextQ` intrusive queue links under
-/// its per-object lock.  Both embed their per-access bookkeeping here so
-/// release never allocates or looks anything up.
-struct AccessNode {
-  /// Wait-free ASM packed state word for writes: two low flag bits plus
-  /// the head of the pending-reader list in the pointer bits, so one
-  /// fetch_or of kCompleted at release atomically (a) marks the write
-  /// done, (b) closes and collects the reader list, and (c) reports
-  /// whether a successor write is linked.
-  static constexpr std::uintptr_t kCompleted = 1;     ///< owner finished
-  static constexpr std::uintptr_t kHasSuccessor = 2;  ///< write linked
-  static constexpr std::uintptr_t kFlagMask = kCompleted | kHasSuccessor;
-
-  DepTask* task;
-  void* object;
-  bool read;
-
-  std::atomic<std::uintptr_t> state;
-
-  /// Writes: the single successor write waiting on our completion.
-  std::atomic<AccessNode*> successor;
-
-  /// Reads: our link in the predecessor write's packed reader list.
-  AccessNode* nextReader;
-
-  /// Reads: the group this access counted itself into at registration.
-  ReadGroup* joinedGroup;
-
-  /// Reads: the task owning `joinedGroup` (nullptr for an object's root
-  /// group, which lives in the table entry).  The reader holds one
-  /// reference on it from registration until its release's fetch_sub,
-  /// so the group's storage survives every possible drain order under
-  /// eager descriptor reclamation.
-  DepTask* groupOwner;
-
-  /// Writes: the group for readers registered after this access.
-  ReadGroup succGroup;
-
-  /// Fine-grained-locks implementation: per-object FIFO queue links and
-  /// the entry the node was queued in, all guarded by that object's lock.
-  AccessNode* prevQ;
-  AccessNode* nextQ;
-  void* homeEntry;
-  bool queueSatisfied;
-};
-
 /// Per-task accesses are fixed-capacity so a task descriptor is one flat
 /// allocation (the §4 pool-allocator PR depends on that).
 inline constexpr std::size_t kMaxAccessesPerTask = 8;
+
+/// Bytes of one access slot.  Each dependency system defines its own
+/// node type, static_asserts that it fits a slot, and constructs it
+/// there at registration; sized for the largest, the wait-free ASM's.
+inline constexpr std::size_t kAccessNodeBytes = 80;
+static_assert(kAccessNodeBytes % alignof(std::max_align_t) == 0,
+              "every slot must start max_align-aligned");
 
 /// The dependency-facing part of a task descriptor.  `runtime/task.hpp`'s
 /// Task derives from this; the deps layer only ever sees DepTask*, which
@@ -148,7 +66,14 @@ struct DepTask {
   }
 
   std::size_t numAccesses = 0;
-  AccessNode accesses[kMaxAccessesPerTask];
+
+  /// Raw node storage, one slot per declared access.  No initializer, so
+  /// constructing a descriptor writes none of it: registration
+  /// placement-constructs slot i for access i, and release reaches that
+  /// node through std::launder.  Nodes are trivially destructible, so
+  /// reclaim never runs a destructor on one.
+  alignas(std::max_align_t) std::byte
+      accessNodes[kMaxAccessesPerTask][kAccessNodeBytes];
 };
 
 }  // namespace ats

@@ -14,9 +14,10 @@ namespace ats {
 /// runs when it is alone at the head.
 ///
 /// The comparison against WaitFreeAsmDeps is honest by construction: both
-/// traffic in the same AccessNode fields, the same sharded object table,
-/// and the same pendingDeps/ready-sink protocol — the only thing that
-/// differs is lock-and-scan versus wait-free state transitions.
+/// keep their nodes in the same descriptor slots, use the same sharded
+/// object table, and follow the same pendingDeps/ready-sink protocol —
+/// the only thing that differs is lock-and-scan versus wait-free state
+/// transitions.
 class FineGrainedLocksDeps final : public DependencySystem {
  public:
   explicit FineGrainedLocksDeps(ReadySink sink)
@@ -30,10 +31,14 @@ class FineGrainedLocksDeps final : public DependencySystem {
   const char* name() const override { return "fine_grained_locks"; }
 
  private:
+  /// One registered access, constructed in its task's access slot at
+  /// registration (layout in fine_grained_locks.cpp).
+  struct Node;
+
   struct ObjectLocked {
     SpinLock lock;
-    AccessNode* head = nullptr;
-    AccessNode* tail = nullptr;
+    Node* head = nullptr;
+    Node* tail = nullptr;
     std::size_t queuedWrites = 0;
   };
 

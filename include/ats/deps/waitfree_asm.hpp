@@ -40,26 +40,48 @@ class WaitFreeAsmDeps final : public DependencySystem {
   const char* name() const override { return "waitfree_asm"; }
 
  private:
+  /// One registered access, constructed in its task's access slot at
+  /// registration (layout in waitfree_asm.cpp).
+  struct Node;
+
+  /// The readers between two writes on one object (or before the first
+  /// write: the object's root group).  The next write "closes" the group
+  /// by adding `kClosedBias` plus the attached-reader count, and parks
+  /// itself in `closingWrite`; whoever moves `pending` to exactly
+  /// `kClosedBias` last-reader-out resolves that write's group
+  /// precondition.  Embedded in every write's node, so a group lives
+  /// exactly as long as the task that owns the preceding write.
+  ///
+  /// Readers contribute to `pending` two ways: one fetch_add at
+  /// registration when they resolved themselves (no write to attach to,
+  /// or it already completed), or — for readers attached to the
+  /// preceding write's list — a plain `attachedRegistrations` increment
+  /// that the closing write folds into its bias add.  Registration on
+  /// one object is serialized (the sibling-task rule), so the plain
+  /// field never races; this is what keeps an attached reader's
+  /// registration at a single RMW.  Every reader fetch_subs 1 at
+  /// completion, so `pending` may go negative (down to
+  /// -attachedRegistrations) before the close.
+  struct ReadGroup {
+    static constexpr std::int64_t kClosedBias = std::int64_t{1} << 32;
+
+    std::atomic<std::int64_t> pending{0};
+    std::atomic<Node*> closingWrite{nullptr};
+    std::int64_t attachedRegistrations = 0;
+  };
+
   /// Per-object ASM anchor.  Only touched on the (per object,
   /// serialized) registration path and by the quiescent reset; the
   /// release path works purely through pointers the nodes carry.
-  /// ReadGroup is raw storage (see dep_task.hpp) and the root group has
-  /// no registering write to arm it, so the constructor must.
   struct ObjectAsm {
-    AccessNode* lastWrite = nullptr;
+    Node* lastWrite = nullptr;
     ReadGroup rootGroup;
-
-    ObjectAsm() {
-      rootGroup.pending.store(0, std::memory_order_relaxed);
-      rootGroup.closingWrite.store(nullptr, std::memory_order_relaxed);
-      rootGroup.attachedRegistrations = 0;
-    }
   };
 
   /// Both return how many of the node's preconditions resolved during
   /// registration, so registerTask can batch them into one guard drop.
-  std::int32_t registerRead(ObjectAsm& obj, AccessNode* node);
-  std::int32_t registerWrite(ObjectAsm& obj, AccessNode* node);
+  std::int32_t registerRead(ObjectAsm& obj, Node* node);
+  std::int32_t registerWrite(ObjectAsm& obj, Node* node);
 
   ObjectTable<ObjectAsm> objects_;
 };

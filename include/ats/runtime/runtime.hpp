@@ -72,10 +72,9 @@ class Runtime {
   /// on the heap.  Returns as soon as the accesses are registered — the
   /// body runs when its dependencies resolve, on whatever worker gets it.
   ///
-  /// Every overload funnels into registerAndSubmit — one descriptor
+  /// Both overloads funnel into registerAndSubmit — one descriptor
   /// set-up and registration path, so invariants (access-count check,
-  /// in-flight accounting, completion wiring) live in exactly one place
-  /// and the overloads differ only in how the body is installed.
+  /// in-flight accounting, completion wiring) live in exactly one place.
   template <typename Fn>
   void spawn(std::initializer_list<Access> accesses, Fn&& fn) {
     spawn(std::span<const Access>(accesses.begin(), accesses.size()),
@@ -101,10 +100,6 @@ class Runtime {
     }
     registerAndSubmit(task, accesses);
   }
-
-  /// Raw function-pointer spawn for callers that manage their own state.
-  void spawn(std::initializer_list<Access> accesses, void (*fn)(void*),
-             void* arg);
 
   /// Wait until every spawned task has completed, helping execute ready
   /// tasks meanwhile, then recycle descriptors and dependency chains.
@@ -170,19 +165,20 @@ class Runtime {
   }
 
  private:
+  /// The one body thunk: `arg` points at the installed closure.
+  template <typename F>
+  static void invokeClosure(void* closure) {
+    (*static_cast<F*>(closure))();
+  }
+
   template <typename Fn>
   void installClosure(Task* task, Fn&& fn) {
     using F = std::decay_t<Fn>;
     if constexpr (sizeof(F) <= Task::kInlineClosureBytes &&
                   alignof(F) <= alignof(std::max_align_t)) {
-      ::new (static_cast<void*>(task->closureBuf))
+      task->arg = ::new (static_cast<void*>(task->closureBuf))
           F(std::forward<Fn>(fn));
-      task->invoker = [](Task& t) {
-        (*std::launder(reinterpret_cast<F*>(t.closureBuf)))();
-      };
-      task->closureDestroy = [](Task& t) {
-        std::launder(reinterpret_cast<F*>(t.closureBuf))->~F();
-      };
+      task->closureDestroy = [](Task& t) { static_cast<F*>(t.arg)->~F(); };
     } else {
       // Heap spill through the same §4 allocator as the descriptor —
       // closure churn is task churn.  Over-aligned captures (rare) fall
@@ -192,7 +188,7 @@ class Runtime {
         void* mem = alloc_->allocate(sizeof(F));
         task->arg = ::new (mem) F(std::forward<Fn>(fn));
         task->closureDestroy = [](Task& t) {
-          std::launder(static_cast<F*>(t.arg))->~F();
+          static_cast<F*>(t.arg)->~F();
           static_cast<Runtime*>(t.runtime)->alloc_->deallocate(t.arg,
                                                               sizeof(F));
           t.arg = nullptr;
@@ -204,10 +200,8 @@ class Runtime {
           t.arg = nullptr;
         };
       }
-      task->invoker = [](Task& t) {
-        (*std::launder(static_cast<F*>(t.arg)))();
-      };
     }
+    task->body = &invokeClosure<F>;
   }
 
   Task* allocateTask();

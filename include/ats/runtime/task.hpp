@@ -10,12 +10,10 @@ namespace ats {
 /// dependency subsystem sees the DepTask base; the runtime owns the
 /// closure and completion machinery on top.
 ///
-/// A task body is either a raw function pointer (`body`/`arg` — what the
-/// scheduler benches use) or a type-erased closure installed by
-/// `Runtime::spawn` into `closureBuf` (or the heap when it does not fit),
-/// invoked through `invoker`.
+/// A task body is `body(arg)`: `Runtime::spawn` constructs the callable
+/// in `closureBuf` (or on the heap when it does not fit), points `arg` at
+/// it and `body` at the thunk that invokes it.
 struct Task : DepTask {
-  /// Raw body entry point (used when no closure is installed).
   void (*body)(void* arg) = nullptr;
   void* arg = nullptr;
 
@@ -24,7 +22,6 @@ struct Task : DepTask {
   static constexpr std::size_t kInlineClosureBytes = 48;
   alignas(alignof(std::max_align_t)) unsigned char
       closureBuf[kInlineClosureBytes];
-  void (*invoker)(Task& task) = nullptr;
   void (*closureDestroy)(Task& task) = nullptr;
 
   /// The owning Runtime, set at allocation; the reclaim hook reads it.

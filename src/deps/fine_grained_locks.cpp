@@ -2,10 +2,26 @@
 
 #include <cassert>
 #include <mutex>
+#include <new>
+#include <type_traits>
 
 #include "common/failpoint.hpp"
 
 namespace ats {
+
+/// One registered access: its place in its object's FIFO queue and
+/// whether it is already eligible, all guarded by that object's lock.
+struct FineGrainedLocksDeps::Node {
+  DepTask* task;
+  bool read;
+  bool satisfied = false;
+  ObjectLocked* home;  ///< the table entry whose queue holds this node
+  Node* prev = nullptr;
+  Node* next = nullptr;
+  /// Link in the one release's chain that makes this access eligible;
+  /// null until a later eligible access is chained after it.
+  Node* nextEligible = nullptr;
+};
 
 void FineGrainedLocksDeps::registerTask(DepTask* task,
                                         const Access* accesses,
@@ -13,6 +29,10 @@ void FineGrainedLocksDeps::registerTask(DepTask* task,
   // Failpoint: BEFORE any mutation (same contract as deps_register in
   // the wait-free system) so throw mode is a clean spawn failure.
   ATS_FAILPOINT(deps_register_locked);
+  static_assert(sizeof(Node) <= kAccessNodeBytes &&
+                alignof(Node) <= alignof(std::max_align_t) &&
+                std::is_trivially_destructible_v<Node>,
+                "a node must fit its slot and need no destructor");
   assert(count <= kMaxAccessesPerTask);
 #ifndef NDEBUG
   for (std::size_t i = 0; i < count; ++i)
@@ -30,30 +50,23 @@ void FineGrainedLocksDeps::registerTask(DepTask* task,
   std::int32_t resolved = 0;
 
   for (std::size_t i = 0; i < count; ++i) {
-    AccessNode* node = &task->accesses[i];
-    node->task = task;
-    node->object = accesses[i].object;
-    node->read = accesses[i].isRead();
-    node->prevQ = nullptr;
-    node->nextQ = nullptr;
-    node->queueSatisfied = false;
-
-    ObjectLocked& obj = objects_.lookupOrCreate(node->object);
-    node->homeEntry = &obj;
+    ObjectLocked& obj = objects_.lookupOrCreate(accesses[i].object);
+    Node* node = ::new (task->accessNodes[i])
+        Node{.task = task, .read = accesses[i].isRead(), .home = &obj};
 
     bool eligible;
     {
       std::lock_guard<SpinLock> guard(obj.lock);
-      node->prevQ = obj.tail;
+      node->prev = obj.tail;
       if (obj.tail != nullptr)
-        obj.tail->nextQ = node;
+        obj.tail->next = node;
       else
         obj.head = node;
       obj.tail = node;
 
       eligible = node->read ? obj.queuedWrites == 0 : obj.head == node;
       if (!node->read) ++obj.queuedWrites;
-      if (eligible) node->queueSatisfied = true;
+      node->satisfied = eligible;
     }
     if (eligible) ++resolved;
   }
@@ -64,48 +77,47 @@ void FineGrainedLocksDeps::registerTask(DepTask* task,
 
 void FineGrainedLocksDeps::release(DepTask* task, std::size_t cpu) {
   for (std::size_t i = 0; i < task->numAccesses; ++i) {
-    AccessNode* node = &task->accesses[i];
-    ObjectLocked& obj = *static_cast<ObjectLocked*>(node->homeEntry);
+    Node* node = std::launder(reinterpret_cast<Node*>(task->accessNodes[i]));
+    ObjectLocked& obj = *node->home;
 
     // Collect newly eligible accesses under the lock (in queue order, so
     // FIFO fairness survives), resolve outside it — the sink may reenter
-    // the scheduler.  The chain reuses the ASM's successor field, unused
-    // by this implementation.
-    AccessNode* eligibleHead = nullptr;
-    AccessNode* eligibleTail = nullptr;
-    const auto collect = [&](AccessNode* ready) {
-      ready->queueSatisfied = true;
-      ready->successor.store(nullptr, std::memory_order_relaxed);
+    // the scheduler.
+    Node* eligibleHead = nullptr;
+    Node* eligibleTail = nullptr;
+    const auto collect = [&](Node* ready) {
+      ready->satisfied = true;
       if (eligibleTail != nullptr)
-        eligibleTail->successor.store(ready, std::memory_order_relaxed);
+        eligibleTail->nextEligible = ready;
       else
         eligibleHead = ready;
       eligibleTail = ready;
     };
     {
       std::lock_guard<SpinLock> guard(obj.lock);
-      if (node->prevQ != nullptr)
-        node->prevQ->nextQ = node->nextQ;
+      if (node->prev != nullptr)
+        node->prev->next = node->next;
       else
-        obj.head = node->nextQ;
-      if (node->nextQ != nullptr)
-        node->nextQ->prevQ = node->prevQ;
+        obj.head = node->next;
+      if (node->next != nullptr)
+        node->next->prev = node->prev;
       else
-        obj.tail = node->prevQ;
+        obj.tail = node->prev;
       if (!node->read) --obj.queuedWrites;
 
-      AccessNode* cursor = obj.head;
+      Node* cursor = obj.head;
       if (cursor != nullptr && !cursor->read) {
-        if (!cursor->queueSatisfied) collect(cursor);
+        if (!cursor->satisfied) collect(cursor);
       } else {
-        for (; cursor != nullptr && cursor->read; cursor = cursor->nextQ) {
-          if (!cursor->queueSatisfied) collect(cursor);
+        for (; cursor != nullptr && cursor->read; cursor = cursor->next) {
+          if (!cursor->satisfied) collect(cursor);
         }
       }
     }
+    // Read each link before resolving its node: resolveOne may run,
+    // complete and reclaim that node's descriptor.
     while (eligibleHead != nullptr) {
-      AccessNode* next =
-          eligibleHead->successor.load(std::memory_order_relaxed);
+      Node* next = eligibleHead->nextEligible;
       resolveOne(eligibleHead->task, cpu);
       eligibleHead = next;
     }

@@ -1,23 +1,59 @@
 #include "deps/waitfree_asm.hpp"
 
 #include <cassert>
+#include <new>
+#include <type_traits>
 
 #include "common/failpoint.hpp"
 
 namespace ats {
 
-namespace {
+/// One registered access.  A write uses the packed `state` word, the
+/// `successor` slot and `succGroup`; a read uses the three reader links.
+/// Constructing the node sets every field, so a slot's previous tenant
+/// never leaks into a new registration.
+struct WaitFreeAsmDeps::Node {
+  /// A write's packed state word: two low flag bits plus the head of the
+  /// pending-reader list in the pointer bits, so one fetch_or of
+  /// kCompleted at release atomically (a) marks the write done, (b)
+  /// closes and collects the reader list, and (c) reports whether a
+  /// successor write is linked.
+  static constexpr std::uintptr_t kCompleted = 1;     ///< owner finished
+  static constexpr std::uintptr_t kHasSuccessor = 2;  ///< write linked
+  static constexpr std::uintptr_t kFlagMask = kCompleted | kHasSuccessor;
 
-AccessNode* readerListOf(std::uintptr_t state) {
-  return reinterpret_cast<AccessNode*>(state & ~AccessNode::kFlagMask);
-}
+  static Node* readerListOf(std::uintptr_t state) {
+    return reinterpret_cast<Node*>(state & ~kFlagMask);
+  }
 
-std::uintptr_t packReader(AccessNode* reader, std::uintptr_t flags) {
-  return reinterpret_cast<std::uintptr_t>(reader) |
-         (flags & AccessNode::kFlagMask);
-}
+  static std::uintptr_t packReader(Node* reader, std::uintptr_t flags) {
+    return reinterpret_cast<std::uintptr_t>(reader) | (flags & kFlagMask);
+  }
 
-}  // namespace
+  DepTask* task;
+  bool read;
+
+  std::atomic<std::uintptr_t> state{0};
+
+  /// Writes: the single successor write waiting on our completion.
+  std::atomic<Node*> successor{nullptr};
+
+  /// Reads: our link in the predecessor write's packed reader list.
+  Node* nextReader = nullptr;
+
+  /// Reads: the group this access counted itself into at registration.
+  ReadGroup* joinedGroup = nullptr;
+
+  /// Reads: the task owning `joinedGroup` (nullptr for an object's root
+  /// group, which lives in the table entry).  The reader holds one
+  /// reference on it from registration until its release's fetch_sub,
+  /// so the group's storage survives every possible drain order under
+  /// eager descriptor reclamation.
+  DepTask* groupOwner = nullptr;
+
+  /// Writes: the group for readers registered after this access.
+  ReadGroup succGroup{};
+};
 
 void WaitFreeAsmDeps::registerTask(DepTask* task, const Access* accesses,
                                    std::size_t count, std::size_t cpu) {
@@ -25,6 +61,10 @@ void WaitFreeAsmDeps::registerTask(DepTask* task, const Access* accesses,
   // descriptor untouched and Runtime::registerAndSubmit can reclaim it
   // cleanly (the spawn-failure drill).
   ATS_FAILPOINT(deps_register);
+  static_assert(sizeof(Node) <= kAccessNodeBytes &&
+                alignof(Node) <= alignof(std::max_align_t) &&
+                std::is_trivially_destructible_v<Node>,
+                "a node must fit its slot and need no destructor");
   assert(count <= kMaxAccessesPerTask);
 #ifndef NDEBUG
   for (std::size_t i = 0; i < count; ++i)
@@ -63,12 +103,9 @@ void WaitFreeAsmDeps::registerTask(DepTask* task, const Access* accesses,
   std::int32_t resolved = 0;
 
   for (std::size_t i = 0; i < count; ++i) {
-    AccessNode* node = &task->accesses[i];
-    node->task = task;
-    node->object = accesses[i].object;
-    node->read = accesses[i].isRead();
-
-    ObjectAsm& obj = objects_.lookupOrCreate(node->object);
+    Node* node = ::new (task->accessNodes[i])
+        Node{.task = task, .read = accesses[i].isRead()};
+    ObjectAsm& obj = objects_.lookupOrCreate(accesses[i].object);
     if (node->read) {
       resolved += registerRead(obj, node);
     } else {
@@ -79,9 +116,8 @@ void WaitFreeAsmDeps::registerTask(DepTask* task, const Access* accesses,
   finishRegistration(task, preconditions, resolved, cpu);
 }
 
-std::int32_t WaitFreeAsmDeps::registerRead(ObjectAsm& obj,
-                                           AccessNode* node) {
-  AccessNode* write = obj.lastWrite;
+std::int32_t WaitFreeAsmDeps::registerRead(ObjectAsm& obj, Node* node) {
+  Node* write = obj.lastWrite;
   ReadGroup* group =
       write != nullptr ? &write->succGroup : &obj.rootGroup;
   node->joinedGroup = group;
@@ -97,10 +133,10 @@ std::int32_t WaitFreeAsmDeps::registerRead(ObjectAsm& obj,
     // only contender is that single completion RMW, so the loop runs at
     // most twice in practice.
     std::uintptr_t state = write->state.load(std::memory_order_acquire);
-    while ((state & AccessNode::kCompleted) == 0) {
-      node->nextReader = readerListOf(state);
+    while ((state & Node::kCompleted) == 0) {
+      node->nextReader = Node::readerListOf(state);
       if (write->state.compare_exchange_weak(
-              state, packReader(node, state), std::memory_order_release,
+              state, Node::packReader(node, state), std::memory_order_release,
               std::memory_order_acquire)) {
         ++group->attachedRegistrations;
         return 0;
@@ -115,16 +151,9 @@ std::int32_t WaitFreeAsmDeps::registerRead(ObjectAsm& obj,
   return 1;
 }
 
-std::int32_t WaitFreeAsmDeps::registerWrite(ObjectAsm& obj,
-                                            AccessNode* node) {
-  node->state.store(0, std::memory_order_relaxed);
-  node->successor.store(nullptr, std::memory_order_relaxed);
-  node->succGroup.pending.store(0, std::memory_order_relaxed);
-  node->succGroup.closingWrite.store(nullptr, std::memory_order_relaxed);
-  node->succGroup.attachedRegistrations = 0;
-
+std::int32_t WaitFreeAsmDeps::registerWrite(ObjectAsm& obj, Node* node) {
   std::int32_t resolved = 0;
-  AccessNode* prev = obj.lastWrite;
+  Node* prev = obj.lastWrite;
 
   // True when this close observed the predecessor's group already fully
   // drained — then no reader will ever land on kClosedBias, so the
@@ -168,9 +197,8 @@ std::int32_t WaitFreeAsmDeps::registerWrite(ObjectAsm& obj,
   } else {
     prev->successor.store(node, std::memory_order_release);
     const std::uintptr_t prevState =
-        prev->state.fetch_or(AccessNode::kHasSuccessor,
-                             std::memory_order_acq_rel);
-    if (prevState & AccessNode::kCompleted) ++resolved;
+        prev->state.fetch_or(Node::kHasSuccessor, std::memory_order_acq_rel);
+    if (prevState & Node::kCompleted) ++resolved;
   }
 
   // Publish as the object's last write (our lastWrite reference was
@@ -186,15 +214,14 @@ std::int32_t WaitFreeAsmDeps::registerWrite(ObjectAsm& obj,
 
 void WaitFreeAsmDeps::release(DepTask* task, std::size_t cpu) {
   for (std::size_t i = 0; i < task->numAccesses; ++i) {
-    AccessNode* node = &task->accesses[i];
+    Node* node = std::launder(reinterpret_cast<Node*>(task->accessNodes[i]));
     if (node->read) {
       // Drain our group so the write that closed it can go.
       ReadGroup* group = node->joinedGroup;
       const std::int64_t remaining =
           group->pending.fetch_sub(1, std::memory_order_acq_rel) - 1;
       if (remaining == ReadGroup::kClosedBias) {
-        AccessNode* write =
-            group->closingWrite.load(std::memory_order_acquire);
+        Node* write = group->closingWrite.load(std::memory_order_acquire);
         resolveOne(write->task, cpu);
         // We landed the drain of a closed group: every other reader's
         // fetch_sub is ordered before ours and none of them touches the
@@ -208,14 +235,13 @@ void WaitFreeAsmDeps::release(DepTask* task, std::size_t cpu) {
       // reader CAS from here on sees kCompleted and resolves itself),
       // collects everyone already attached, and reports the successor.
       const std::uintptr_t state =
-          node->state.fetch_or(AccessNode::kCompleted,
-                               std::memory_order_acq_rel);
+          node->state.fetch_or(Node::kCompleted, std::memory_order_acq_rel);
       // The CAS chain is LIFO — reverse it so readers go ready in
       // registration order (FIFO fairness, like the locked baseline).
-      AccessNode* reader = readerListOf(state);
-      AccessNode* ordered = nullptr;
+      Node* reader = Node::readerListOf(state);
+      Node* ordered = nullptr;
       while (reader != nullptr) {
-        AccessNode* next = reader->nextReader;
+        Node* next = reader->nextReader;
         reader->nextReader = ordered;
         ordered = reader;
         reader = next;
@@ -224,13 +250,12 @@ void WaitFreeAsmDeps::release(DepTask* task, std::size_t cpu) {
       // complete, and eagerly reclaim the reader's descriptor — and the
       // link lives inside it.
       while (ordered != nullptr) {
-        AccessNode* next = ordered->nextReader;
+        Node* next = ordered->nextReader;
         resolveOne(ordered->task, cpu);
         ordered = next;
       }
-      if (state & AccessNode::kHasSuccessor) {
-        AccessNode* succ =
-            node->successor.load(std::memory_order_acquire);
+      if (state & Node::kHasSuccessor) {
+        Node* succ = node->successor.load(std::memory_order_acquire);
         resolveOne(succ->task, cpu);
       }
     }

@@ -33,7 +33,7 @@ constexpr std::size_t kNoCpu = static_cast<std::size_t>(-1);
 thread_local std::size_t tlsCpu = kNoCpu;
 
 /// Depth of task bodies on this thread's stack — nonzero exactly while
-/// executeTask is inside an invoker.  Lets taskwait reject the
+/// executeTask is inside a body.  Lets taskwait reject the
 /// spawner-helps case (a task body the SPAWNER is executing calls
 /// taskwait: callerCpu() alone cannot tell it from the real spawner).
 thread_local int tlsInTaskDepth = 0;
@@ -166,23 +166,11 @@ std::size_t Runtime::callerCpu() const {
   return tlsCpu == kNoCpu ? spawnerCpu_ : tlsCpu;
 }
 
-void Runtime::spawn(std::initializer_list<Access> accesses,
-                    void (*fn)(void*), void* arg) {
-  Task* task = allocateTask();
-  task->body = fn;
-  task->arg = arg;
-  registerAndSubmit(task,
-                    std::span<const Access>(accesses.begin(), accesses.size()));
-}
-
 Task* Runtime::allocateTask() {
   static_assert(alignof(Task) <= Allocator::kAlignment);
-  // Default-init, not value-init, so the plain access-node fields stay
-  // unwritten; the registration path initializes every access field it
-  // uses.  The nodes' std::atomic members are still zeroed (C++20
-  // value-initializes them: 32 eight-byte stores per spawn); see
-  // dep_task.hpp's "NOTE (allocation fast path)" and the ROADMAP item
-  // on zeroing the unused access nodes.
+  // Default-init, not value-init: the access-node storage has no
+  // initializer, so this writes none of it; registration constructs
+  // each node it uses.
   Task* task = ::new (alloc_->allocate(sizeof(Task))) Task;
   task->runtime = this;
   // One execution reference, dropped after the completion path releases
@@ -228,22 +216,14 @@ void Runtime::registerAndSubmit(Task* task,
     // still wholly ours: undo the spawn count in place, destroy the
     // closure, and reclaim it so conservation holds for the caller.
     bumpOwned(spawned, -1);
-    if (task->closureDestroy != nullptr) {
-      task->closureDestroy(*task);
-      task->closureDestroy = nullptr;
-      task->invoker = nullptr;
-    }
+    task->closureDestroy(*task);
     task->dropRef();
     throw;
   }
 }
 
 void Runtime::complete(Task* task) {
-  if (task->closureDestroy != nullptr) {
-    task->closureDestroy(*task);
-    task->closureDestroy = nullptr;
-    task->invoker = nullptr;
-  }
+  task->closureDestroy(*task);
   const std::size_t cpu = callerCpu();
   deps_->release(task, cpu);
   // Execution reference: from here the descriptor lives only as long as
@@ -286,15 +266,7 @@ void Runtime::executeTask(Task* task, std::size_t cpu) {
   ++tlsInTaskDepth;
   try {
     ATS_FAILPOINT(task_invoke);
-    if (task->invoker != nullptr) {
-      task->invoker(*task);
-    } else if (task->body != nullptr) {
-      task->body(task->arg);
-    } else {
-      fatal("ats::Runtime: task %p has neither a closure nor a raw body — "
-            "misconfigured spawn path",
-            static_cast<void*>(task));
-    }
+    task->body(task->arg);
   } catch (const FailpointError& caught) {
     failPayload = caught.id();
     error = std::current_exception();

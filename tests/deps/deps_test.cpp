@@ -4,8 +4,12 @@
 
 #include <map>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
+
+#include "memory/pool_allocator.hpp"
+#include "runtime/task.hpp"
 
 namespace ats {
 namespace {
@@ -175,6 +179,38 @@ TEST_P(EveryDepsSystemTest, ResetAllowsDescriptorReuse) {
   deps_->release(&t0, 0);
   EXPECT_TRUE(rec_.ready(&t1));
   deps_->release(&t1, 0);
+}
+
+// A descriptor's node slots are raw storage: neither constructing the
+// Task nor registering k accesses may write the slots past k.  A freed
+// pool block comes back from the LIFO magazine poisoned, so any such
+// store shows up as a byte that no longer reads kPoisonByte.
+TEST_P(EveryDepsSystemTest, UndeclaredNodeSlotsStayUnwritten) {
+  PoolAllocator& pool = PoolAllocator::instance();
+  const bool wasPoisoning = pool.poisoningEnabled();
+  pool.setPoisoning(true);
+  long long x = 0, y = 0;
+  const Access accesses[] = {inout(x), in(y)};
+  for (const std::size_t k : {std::size_t{0}, std::size_t{2}}) {
+    void* mem = pool.allocate(sizeof(Task));
+    pool.deallocate(mem, sizeof(Task));
+    ASSERT_EQ(pool.allocate(sizeof(Task)), mem);
+    Task* task = ::new (mem) Task;  // exactly as Runtime::allocateTask
+    deps_->registerTask(task, accesses, k, 0);
+
+    const std::byte* rest = task->accessNodes[k];
+    for (std::size_t i = 0; i < (kMaxAccessesPerTask - k) * kAccessNodeBytes;
+         ++i) {
+      ASSERT_EQ(rest[i], std::byte{PoolAllocator::kPoisonByte})
+          << k << " accesses wrote slot " << k + i / kAccessNodeBytes
+          << " at byte " << i % kAccessNodeBytes;
+    }
+    deps_->release(task, 0);
+    deps_->reset();
+    task->~Task();
+    pool.deallocate(mem, sizeof(Task));
+  }
+  pool.setPoisoning(wasPoisoning);
 }
 
 TEST_P(EveryDepsSystemTest, ReportsItsName) {

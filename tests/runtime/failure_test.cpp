@@ -474,6 +474,23 @@ TEST(FatalDeathTest, TaskwaitInsideTaskBodyDiesNamingTheRoadmapItem) {
       "called from inside a task.*Production service mode");
 }
 
+// The release-mode guard is all that stops a spawn from writing past the
+// descriptor's node storage.
+TEST(FatalDeathTest, SpawnWithTooManyAccessesDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Runtime rt(testConfig(DepsKind::WaitFreeAsm,
+                              SchedulerKind::SyncDelegation, 1));
+        long long objects[kMaxAccessesPerTask + 1] = {};
+        Access accesses[kMaxAccessesPerTask + 1];
+        for (std::size_t i = 0; i <= kMaxAccessesPerTask; ++i)
+          accesses[i] = inout(objects[i]);
+        rt.spawn(std::span<const Access>(accesses), [] {});
+      },
+      "declares 9 accesses, the descriptor holds at most 8");
+}
+
 // The crash-evidence pipeline end to end: a fatal inside a traced
 // runtime dumps the rings to ATS_TRACE_DIR, and the file reads back as
 // a valid v4 trace with the activity leading up to the death.

@@ -288,17 +288,6 @@ TEST_P(SchedMatrixTest, InoutChainStaysStrictlyOrdered) {
 }
 
 /// Non-matrix runtime behaviors, default (optimized) configuration.
-TEST(RuntimeTest, RawFunctionPointerSpawn) {
-  Runtime rt(optimizedConfig(makeTopology(MachinePreset::Host, 2)));
-  std::atomic<int> hits{0};
-  auto bump = +[](void* arg) {
-    static_cast<std::atomic<int>*>(arg)->fetch_add(1);
-  };
-  for (int i = 0; i < 100; ++i) rt.spawn({}, bump, &hits);
-  rt.taskwait();
-  EXPECT_EQ(hits.load(), 100);
-}
-
 TEST(RuntimeTest, LargeClosureSpillsToHeapAndStillRuns) {
   Runtime rt(optimizedConfig(makeTopology(MachinePreset::Host, 2)));
   std::array<long long, 32> payload{};  // 256 bytes: > inline capacity
