@@ -12,22 +12,6 @@
 
 namespace ats {
 
-// The repo-wide TSan convention (see DTLock::serveBatch and DESIGN.md):
-// standalone-fence synchronization support in TSan runtimes has been
-// uneven across toolchain versions, so sanitized builds compile the
-// per-operation seq_cst form instead of the relaxed-plus-fence one.
-#if defined(__SANITIZE_THREAD__)
-#define ATS_CHASE_LEV_FENCES 0
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define ATS_CHASE_LEV_FENCES 0
-#else
-#define ATS_CHASE_LEV_FENCES 1
-#endif
-#else
-#define ATS_CHASE_LEV_FENCES 1
-#endif
-
 /// Chase–Lev work-stealing deque (dynamic circular array), in the
 /// C11-memory-model formulation of Lê, Pop, Cohen & Nardelli (PPoPP'13).
 /// One OWNER thread calls `push`/`pop` on the bottom end (LIFO — the
@@ -36,8 +20,8 @@ namespace ats {
 ///
 /// Why this container and not another SpscQueue: the owner's fast path
 /// must involve NO shared read-modify-write at all — `push` is one slot
-/// store plus one release store of `bottom`, and `pop` is one bottom
-/// store plus one fence plus one top load; the single CAS in the whole
+/// store plus one release store of `bottom`, and `pop` is one seq_cst
+/// bottom store plus one seq_cst top load; the single CAS in the whole
 /// protocol sits on the one-element race (owner's last `pop` vs a
 /// thief's `steal`) and on the thief side, where contention is the
 /// uncommon case by design.  The cached-index/cache-line-padding staging
@@ -102,21 +86,13 @@ class ChaseLevDeque {
   bool pop(T& out) {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
     Buffer* buf = buffer_.load(std::memory_order_relaxed);
-#if ATS_CHASE_LEV_FENCES
-    bottom_.store(b, std::memory_order_relaxed);
-    // THE one fence of the owner's pop: orders the bottom store before
-    // the top load (a store-load ordering neither release nor acquire
-    // provides).  Without it, pop and a racing steal could both read
-    // the pre-decrement/pre-increment index and take the same element.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_relaxed);
-#else
-    // TSan form: a seq_cst store followed by a seq_cst load is ordered
-    // in the single total order S, which forbids the same store-load
-    // reordering the fence forbids above.
+    // Seq_cst store then seq_cst load: both sit in the single total
+    // order S, which orders the bottom store before the top load (a
+    // store-load ordering neither release nor acquire provides).
+    // Without it, pop and a racing steal could both read the
+    // pre-decrement/pre-increment index and take the same element.
     bottom_.store(b, std::memory_order_seq_cst);
     std::int64_t t = top_.load(std::memory_order_seq_cst);
-#endif
     if (t > b) {
       // Already empty: restore bottom and report so.
       bottom_.store(b + 1, std::memory_order_relaxed);
@@ -138,18 +114,12 @@ class ChaseLevDeque {
   /// the three-way outcome; callers treat Abort as "work exists,
   /// somebody else got this one".
   StealResult steal(T& out) {
-#if ATS_CHASE_LEV_FENCES
-    std::int64_t t = top_.load(std::memory_order_acquire);
-    // Orders the top load before the bottom load: reading them in the
-    // other order could see a bottom from before an owner pop and a top
-    // from after a competing steal, fabricating a non-empty deque out
-    // of two stale halves.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const std::int64_t b = bottom_.load(std::memory_order_acquire);
-#else
+    // Seq_cst loads: S orders the top load before the bottom load.
+    // Reading them in the other order could see a bottom from before an
+    // owner pop and a top from after a competing steal, fabricating a
+    // non-empty deque out of two stale halves.
     std::int64_t t = top_.load(std::memory_order_seq_cst);
     const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-#endif
     if (t >= b) return StealResult::Empty;
     // Acquire pairs with grow's release store of buffer_: a thief that
     // observes the new array sees its fully copied contents.  (A thief
@@ -232,7 +202,5 @@ class ChaseLevDeque {
   alignas(64) std::atomic<Buffer*> buffer_{nullptr};
   std::vector<std::unique_ptr<Buffer>> buffers_;  ///< owner/dtor only
 };
-
-#undef ATS_CHASE_LEV_FENCES
 
 }  // namespace ats

@@ -16,6 +16,15 @@ enum class DepsKind {
   WaitFreeAsm,       ///< the paper's wait-free Atomic State Machine
 };
 
+/// Stable short name per kind (the watchdog report prints it).
+constexpr const char* depsKindName(DepsKind kind) {
+  switch (kind) {
+    case DepsKind::FineGrainedLocks: return "fine_grained_locks";
+    case DepsKind::WaitFreeAsm: return "waitfree_asm";
+  }
+  return "unknown";
+}
+
 /// Where tasks go once their last dependency resolves.  `cpu` is the
 /// logical CPU slot of the thread on which the resolution happened, so
 /// the runtime can route the task into that CPU's add-buffer.
@@ -61,8 +70,6 @@ class DependencySystem {
   /// be recycled.  Caller guarantees no task is in flight and no
   /// registration is concurrent (the runtime calls this from taskwait).
   virtual void reset() = 0;
-
-  virtual const char* name() const = 0;
 
  protected:
   /// One precondition of `task` resolved; ready it on reaching zero.

@@ -2,6 +2,7 @@
 
 #include "deps/dependency_system.hpp"
 #include "deps/object_table.hpp"
+#include "locks/locks.hpp"
 
 namespace ats {
 
@@ -27,8 +28,6 @@ class FineGrainedLocksDeps final : public DependencySystem {
                     std::size_t count, std::size_t cpu) override;
   void release(DepTask* task, std::size_t cpu) override;
   void reset() override;
-
-  const char* name() const override { return "fine_grained_locks"; }
 
  private:
   /// One registered access, constructed in its task's access slot at

@@ -2,15 +2,18 @@
 
 #include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <new>
+#include <vector>
 
 #include "common/failpoint.hpp"
 #include "common/fatal.hpp"
-#include "memory/stable_pool.hpp"
+#include "locks/locks.hpp"
 
 namespace ats {
 
@@ -91,11 +94,12 @@ inline ObjectTableCacheCounters objectTableThreadCacheCounters() {
 ///      invalidates every thread's entries for this table at once.
 ///   2. Lock-free probe: open-addressed segments probed with acquire
 ///      loads — no RMW, no lock, for any address already in the table.
-///   3. CAS-claim insert: first touch of an address placement-news an
-///      Entry node from a StablePool (spinlocked, but only this cold
-///      tier ever takes it) and publishes it with one CAS.  Losing a
-///      same-address race recycles the unpublished node and adopts the
-///      winner's — every caller pins exactly one Entry per address.
+///   3. CAS-claim insert: first touch of an address carves an Entry
+///      node (one cache line of its own) from the table's node chunks —
+///      spinlocked, but only this cold tier takes the lock — and
+///      publishes it with one CAS.  Losing a same-address race destroys
+///      the unpublished node and adopts the winner's — every caller
+///      pins exactly one Entry per address.
 ///
 /// Growth appends segments of doubling size instead of rehashing, so a
 /// published Entry* is STABLE for the table's lifetime — which is what
@@ -114,8 +118,7 @@ template <typename Entry>
 class ObjectTable {
  public:
   ObjectTable()
-      : pool_(sizeof(Node), /*blockAlign=*/64),
-        epoch_(object_table_detail::gEpochSource.fetch_add(
+      : epoch_(object_table_detail::gEpochSource.fetch_add(
             1, std::memory_order_relaxed)) {
     for (auto& segment : segments_)
       segment.store(nullptr, std::memory_order_relaxed);
@@ -133,7 +136,7 @@ class ObjectTable {
       }
       delete segment;
     }
-    // Node storage itself goes with pool_.
+    // Node storage goes with chunks_.
   }
 
   ObjectTable(const ObjectTable&) = delete;
@@ -207,7 +210,10 @@ class ObjectTable {
   }
 
  private:
-  struct Node {
+  /// A line of its own: entries are written by whichever thread
+  /// registers or releases on their object, so neighbours must not
+  /// share one.
+  struct alignas(64) Node {
     explicit Node(void* obj) : object(obj) {}
 
     void* const object;
@@ -225,9 +231,29 @@ class ObjectTable {
     const std::unique_ptr<std::atomic<Node*>[]> slots;
   };
 
+  /// Nodes are carved in first-touch order from chunks that live as
+  /// long as the table, so objects first registered together get
+  /// consecutive lines and the prefetcher brings in the entry the next
+  /// spawn touches.  One `new` per node spaced them 192 bytes apart,
+  /// and `BM_SchedulerKind` read 10-15% slower on WorkStealing and
+  /// SyncDelegation (EXPERIMENTS.md, "micro_ablation").
+  struct Chunk {
+    static constexpr std::size_t kNodes = 256;
+    alignas(Node) std::byte nodes[kNodes][sizeof(Node)];
+  };
+
   static constexpr std::size_t kFirstSegmentSlots = 1024;
   static constexpr std::size_t kMaxSegments = 24;  // 1024 << 23 slots
   static constexpr std::size_t kProbeWindow = 16;
+
+  Node* newNode(void* object) {
+    std::lock_guard<SpinLock> guard(chunkLock_);
+    if (chunkUsed_ == Chunk::kNodes) {
+      chunks_.push_back(std::unique_ptr<Chunk>(new Chunk));
+      chunkUsed_ = 0;
+    }
+    return ::new (chunks_.back()->nodes[chunkUsed_++]) Node(object);
+  }
 
   Entry& lookupOrCreateShared(void* object, std::uint64_t mixed) {
     // Failpoint: the cold first-touch/insert-race path (TLS tier-1
@@ -244,9 +270,7 @@ class ObjectTable {
             segment.slots[(base + probe) & segment.mask];
         Node* node = bucket.load(std::memory_order_acquire);
         if (node == nullptr) {
-          if (candidate == nullptr) {
-            candidate = ::new (pool_.allocate()) Node(object);
-          }
+          if (candidate == nullptr) candidate = newNode(object);
           if (bucket.compare_exchange_strong(node, candidate,
                                              std::memory_order_release,
                                              std::memory_order_acquire)) {
@@ -257,10 +281,9 @@ class ObjectTable {
           // through to the key check — a same-address race adopts it.
         }
         if (node->object == object) {
-          if (candidate != nullptr) {
-            candidate->~Node();
-            pool_.recycle(candidate);
-          }
+          // Never published, so nobody else saw it; its storage stays
+          // unused in the chunk.
+          if (candidate != nullptr) candidate->~Node();
           return node->entry;
         }
       }
@@ -286,7 +309,9 @@ class ObjectTable {
     return *expected;
   }
 
-  StablePool pool_;
+  SpinLock chunkLock_;
+  std::vector<std::unique_ptr<Chunk>> chunks_;  ///< guarded by chunkLock_
+  std::size_t chunkUsed_ = Chunk::kNodes;       ///< guarded by chunkLock_
   std::atomic<std::uint64_t> epoch_;
   std::atomic<std::size_t> entryCount_{0};
   std::atomic<Segment*> segments_[kMaxSegments];

@@ -37,8 +37,6 @@ class WaitFreeAsmDeps final : public DependencySystem {
   void release(DepTask* task, std::size_t cpu) override;
   void reset() override;
 
-  const char* name() const override { return "waitfree_asm"; }
-
  private:
   /// One registered access, constructed in its task's access slot at
   /// registration (layout in waitfree_asm.cpp).

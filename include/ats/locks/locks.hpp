@@ -285,9 +285,9 @@ class PTLock {
 ///     while ((n = popWaiters(cpus, maxN)) != 0)
 ///       serveBatch(cpus, items, counts, n);
 /// It snapshots a run of queued requests in one pass over the request
-/// array and publishes every answer behind a single release fence,
-/// instead of paying one acquire probe of `next_` plus one release store
-/// per waiter as Listing 5's serve-one loop does.  A served ticket counts
+/// array, instead of paying one acquire probe of `next_` per waiter as
+/// Listing 5's serve-one loop does, and publishes each answer with its
+/// own release store, as Listing 5 does.  A served ticket counts
 /// as consumed by the hold (`held_`), so `unlock()` grants the first
 /// ticket nobody served.
 ///
@@ -304,7 +304,7 @@ class PTLock {
 /// Each result slot is one cache line: the answer word plus up to
 /// `kMaxItems - 1` extras, so one serve can hand a waiter several items
 /// for the price of one line transfer.  The holder writes the extras
-/// before the answer's release (fence or store); the waiter reads them
+/// before the answer's release store; the waiter reads them
 /// only after its acquire load returns a non-zero answer, and copies
 /// them out before it can publish the request that would let a holder
 /// rewrite them.
@@ -395,47 +395,18 @@ class DTLock : public PTLock {
   /// Holder only: answer the `n` waiters the last `popWaiters` reported.
   /// Waiter `cpus[i]` receives the next `counts[i]` (<= kMaxItems) entries
   /// of `items`: the first as its answer, the rest as extras.  A count of
-  /// 0 answers 0 ("nothing").  Every waiter's extras are written before
-  /// the answers' release: all answers ride one release fence, and the
-  /// fence sequenced before the (relaxed) answer stores synchronizes with
-  /// each waiter's acquire load of its own answer ([atomics.fences]), so
-  /// every waiter still observes its extras and everything the holder did
-  /// under the lock — at the cost of one fence per batch instead of one
-  /// release store per waiter.  Under TSan the per-store release form is
-  /// kept, each waiter's extras written before its answer's store:
-  /// fence/atomic synchronization support there has been uneven across
-  /// toolchains, and a false positive would mask real findings in the
-  /// suite this repo keeps clean.
+  /// 0 answers 0 ("nothing").  Each waiter's extras are written before
+  /// its answer's release store, which synchronizes with that waiter's
+  /// acquire load of the answer, so it observes its extras and
+  /// everything the holder did under the lock.
   void serveBatch(const std::uint64_t* cpus, const std::uintptr_t* items,
                   const std::size_t* counts, std::size_t n) {
-#if defined(__SANITIZE_THREAD__)
-    constexpr bool kFenceBatch = false;
-#elif defined(__has_feature)
-    constexpr bool kFenceBatch = !__has_feature(thread_sanitizer);
-#else
-    constexpr bool kFenceBatch = true;
-#endif
-    if constexpr (kFenceBatch) {
-      const std::uintptr_t* next = items;
-      for (std::size_t i = 0; i < n; ++i) {
-        writeExtras(cpus[i], next, counts[i]);
-        next += counts[i];
-      }
-      std::atomic_thread_fence(std::memory_order_release);
-      next = items;
-      for (std::size_t i = 0; i < n; ++i) {
-        results_[cpus[i]].v.store(counts[i] != 0 ? *next : 0,
-                                  std::memory_order_relaxed);
-        next += counts[i];
-      }
-    } else {
-      const std::uintptr_t* next = items;
-      for (std::size_t i = 0; i < n; ++i) {
-        writeExtras(cpus[i], next, counts[i]);
-        results_[cpus[i]].v.store(counts[i] != 0 ? *next : 0,
-                                  std::memory_order_release);
-        next += counts[i];
-      }
+    const std::uintptr_t* next = items;
+    for (std::size_t i = 0; i < n; ++i) {
+      writeExtras(cpus[i], next, counts[i]);
+      results_[cpus[i]].v.store(counts[i] != 0 ? *next : 0,
+                                std::memory_order_release);
+      next += counts[i];
     }
     held_ += n;
   }

@@ -28,8 +28,6 @@ class Allocator {
   /// Return a block previously obtained from allocate(size) on any
   /// thread.  `size` must match the allocation request exactly.
   virtual void deallocate(void* ptr, std::size_t size) = 0;
-
-  virtual const char* name() const = 0;
 };
 
 }  // namespace ats

@@ -68,7 +68,6 @@ class PoolAllocator final : public Allocator {
 
   void* allocate(std::size_t size) override;
   void deallocate(void* ptr, std::size_t size) override;
-  const char* name() const override { return "pool"; }
 
   /// Block size (header included) serving a `userSize` request, or 0
   /// when the request falls through to operator new.

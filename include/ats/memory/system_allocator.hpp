@@ -21,8 +21,6 @@ class SystemAllocator final : public Allocator {
   void deallocate(void* ptr, std::size_t size) override {
     ::operator delete(ptr, size);
   }
-
-  const char* name() const override { return "system"; }
 };
 
 }  // namespace ats

@@ -17,8 +17,8 @@ enum class SchedulerKind {
   WorkStealing,    ///< per-CPU Chase–Lev deques + stealing (LLVM-family)
 };
 
-/// Stable short name per kind, matching each scheduler's `name()` (bench
-/// labels and error messages use it).
+/// Stable short name per kind (bench labels and the watchdog report use
+/// it).
 constexpr const char* schedulerKindName(SchedulerKind kind) {
   switch (kind) {
     case SchedulerKind::CentralMutex: return "central_mutex";

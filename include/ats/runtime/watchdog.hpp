@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -52,16 +51,10 @@ class Watchdog {
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
-  /// Stalls detected so far (only observable with a non-fatal onStall).
-  std::uint64_t stallsDetected() const {
-    return stalls_.load(std::memory_order_relaxed);
-  }
-
  private:
   void loop();
 
   Options options_;
-  std::atomic<std::uint64_t> stalls_{0};
   std::mutex lock_;
   std::condition_variable wake_;
   bool stop_ = false;

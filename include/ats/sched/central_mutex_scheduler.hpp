@@ -22,8 +22,6 @@ class CentralMutexScheduler final : public Scheduler {
   void addReadyTask(Task* task, std::size_t cpu) override;
   Task* getReadyTask(std::size_t cpu) override;
 
-  const char* name() const override { return "central_mutex"; }
-
  private:
   std::mutex mutex_;
   std::unique_ptr<SchedulerPolicy> policy_;

@@ -31,8 +31,6 @@ class FifoPolicy final : public SchedulerPolicy {
 
   std::size_t size() const override { return ready_.size(); }
 
-  const char* policyName() const override { return "fifo"; }
-
  private:
   std::deque<Task*> ready_;
 };

@@ -28,8 +28,6 @@ class PTLockScheduler final : public Scheduler {
   void addReadyTask(Task* task, std::size_t cpu) override;
   Task* getReadyTask(std::size_t cpu) override;
 
-  const char* name() const override { return "ptlock_central"; }
-
  private:
   PTLock lock_;
   std::unique_ptr<SchedulerPolicy> policy_;

@@ -48,8 +48,6 @@ class Scheduler {
   virtual void addReadyTask(Task* task, std::size_t cpu) = 0;
   virtual Task* getReadyTask(std::size_t cpu) = 0;
 
-  virtual const char* name() const = 0;
-
  protected:
   /// The one way drains are traced, shared by every buffered scheduler
   /// so the event's semantics (caller's stream, payload = tasks moved,
@@ -85,8 +83,6 @@ class SchedulerPolicy {
   /// Tasks queued right now.  The delegation serve sizes each waiter's
   /// share from it (see SyncScheduler).
   virtual std::size_t size() const = 0;
-
-  virtual const char* policyName() const = 0;
 };
 
 }  // namespace ats

@@ -65,8 +65,6 @@ class SyncScheduler final : public Scheduler {
   void addReadyTask(Task* task, std::size_t cpu) override;
   Task* getReadyTask(std::size_t cpu) override;
 
-  const char* name() const override { return "sync_dtlock"; }
-
  private:
   /// Tasks a slot's get took beyond the one it returned, popped FIFO by
   /// that slot's next gets.  Only the slot's own thread touches it.

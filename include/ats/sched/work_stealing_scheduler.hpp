@@ -51,8 +51,6 @@ class WorkStealingScheduler final : public Scheduler {
   void addReadyTask(Task* task, std::size_t cpu) override;
   Task* getReadyTask(std::size_t cpu) override;
 
-  const char* name() const override { return "work_steal"; }
-
  private:
   /// Steal from `victim` into `out`, retrying lost CASes, emitting
   /// SchedSteal into `cpu`'s stream on success.

@@ -1,5 +1,6 @@
 #include "deps/dependency_system.hpp"
 
+#include "common/fatal.hpp"
 #include "deps/fine_grained_locks.hpp"
 #include "deps/waitfree_asm.hpp"
 
@@ -13,7 +14,9 @@ std::unique_ptr<DependencySystem> makeDependencySystem(DepsKind kind,
     case DepsKind::WaitFreeAsm:
       return std::make_unique<WaitFreeAsmDeps>(sink);
   }
-  return nullptr;
+  // Same reasoning as makeScheduler: a null deps_ would only crash the
+  // Runtime at its first spawn, far from the cause.
+  fatal("makeDependencySystem: unknown DepsKind %d", static_cast<int>(kind));
 }
 
 }  // namespace ats

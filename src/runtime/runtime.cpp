@@ -429,8 +429,8 @@ std::string Runtime::watchdogReport() const {
   std::string out = "ats watchdog report:\n";
   std::snprintf(line, sizeof(line),
                 "  scheduler=%s deps=%s workers=%zu\n",
-                schedulerKindName(config_.scheduler), deps_->name(),
-                config_.topo.numCpus);
+                schedulerKindName(config_.scheduler),
+                depsKindName(config_.deps), config_.topo.numCpus);
   out += line;
   std::snprintf(
       line, sizeof(line),

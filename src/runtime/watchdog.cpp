@@ -55,7 +55,6 @@ void Watchdog::loop() {
     // (one report per episode, not one per poll).
     if (firedThisEpisode) continue;
     if (now - lastChange < options_.timeout) continue;
-    stalls_.fetch_add(1, std::memory_order_relaxed);
     firedThisEpisode = true;
     const std::string report =
         options_.report ? options_.report() : std::string();

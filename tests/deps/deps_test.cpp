@@ -214,9 +214,9 @@ TEST_P(EveryDepsSystemTest, UndeclaredNodeSlotsStayUnwritten) {
 }
 
 TEST_P(EveryDepsSystemTest, ReportsItsName) {
-  EXPECT_STREQ(deps_->name(), GetParam() == DepsKind::WaitFreeAsm
-                                  ? "waitfree_asm"
-                                  : "fine_grained_locks");
+  EXPECT_STREQ(depsKindName(GetParam()), GetParam() == DepsKind::WaitFreeAsm
+                                             ? "waitfree_asm"
+                                             : "fine_grained_locks");
 }
 
 }  // namespace

@@ -19,8 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "memory/stable_pool.hpp"
-
 namespace ats {
 namespace {
 
@@ -218,27 +216,38 @@ TEST(ObjectTableTest, ForEachVisitsEveryEntryOnce) {
   EXPECT_EQ(visited, kAddrs);
 }
 
-TEST(StablePoolTest, StridesRespectAlignmentAndRecycleReuses) {
-  StablePool pool(/*blockBytes=*/24, /*blockAlign=*/64,
-                  /*blocksPerChunk=*/4);
-  EXPECT_EQ(pool.blockStride(), 64u);
+TEST(ObjectTableTest, EntriesNeverShareACacheLine) {
+  // An entry is written by whichever thread registers or releases on its
+  // object, so each one owns a 64-byte line: a neighbour on the same line
+  // would make two objects' bookkeeping contend for one coherence unit.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 1000;
+  constexpr std::uintptr_t kLineBytes = 64;
+  ObjectTable<Payload> table;
 
-  void* a = pool.allocate();
-  void* b = pool.allocate();
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 64, 0u);
-  EXPECT_NE(a, b);
-
-  // A recycled (never-published) block comes back before fresh carving.
-  pool.recycle(b);
-  EXPECT_EQ(pool.allocate(), b);
-
-  // Exhausting a chunk grows a new one; addresses never repeat.
-  std::set<void*> seen{a, b};
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(seen.insert(pool.allocate()).second);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&table, t] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        table.lookupOrCreate(key(t * kPerThread + i));
+      }
+    });
   }
-  EXPECT_GE(pool.chunkCount(), 3u);
+  for (auto& thread : threads) thread.join();
+
+  std::set<std::uintptr_t> lines;
+  std::size_t entries = 0;
+  std::size_t straddling = 0;
+  table.forEach([&](Payload& p) {
+    const auto first = reinterpret_cast<std::uintptr_t>(&p);
+    const auto last = first + sizeof(Payload) - 1;
+    if (first / kLineBytes != last / kLineBytes) ++straddling;
+    lines.insert(first / kLineBytes);
+    ++entries;
+  });
+  EXPECT_EQ(entries, kThreads * kPerThread);
+  EXPECT_EQ(straddling, 0u) << "entries straddle a line boundary";
+  EXPECT_EQ(lines.size(), entries) << "entries share a line";
 }
 
 }  // namespace

@@ -32,7 +32,6 @@ void onFreshThread(Fn&& fn) {
 
 TEST(SystemAllocatorTest, RoundTripsAndAligns) {
   SystemAllocator& alloc = SystemAllocator::instance();
-  EXPECT_STREQ(alloc.name(), "system");
   for (std::size_t size : {1u, 17u, 256u, 8192u, 100000u}) {
     void* p = alloc.allocate(size);
     ASSERT_NE(p, nullptr);
@@ -61,7 +60,6 @@ TEST(PoolAllocatorTest, SizeClassTableIsSaneAtBoundaries) {
 
 TEST(PoolAllocatorTest, AlignmentAndWritabilityAcrossClassesAndLargePath) {
   PoolAllocator& pool = PoolAllocator::instance();
-  EXPECT_STREQ(pool.name(), "pool");
   // Class boundaries (block-16 and block-16+1 for every class size),
   // plus the operator-new fallthrough sizes.
   std::vector<std::size_t> sizes = {1, 15, 16, 17, 255, 256, 257};

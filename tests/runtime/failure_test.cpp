@@ -462,6 +462,15 @@ TEST(FatalDeathTest, MakeSchedulerRejectsUnknownKindWithFileLine) {
                "makeScheduler: unknown SchedulerKind 99");
 }
 
+TEST(FatalDeathTest, MakeDependencySystemRejectsUnknownKind) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // A null deps system would only crash the Runtime at its first spawn.
+  EXPECT_DEATH((void)makeDependencySystem(static_cast<DepsKind>(99),
+                                          ReadySink{}),
+               "ats: FATAL deps/dependency_system\\.cpp:[0-9]+: "
+               "makeDependencySystem: unknown DepsKind 99");
+}
+
 TEST(FatalDeathTest, TaskwaitInsideTaskBodyDiesNamingTheRoadmapItem) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(

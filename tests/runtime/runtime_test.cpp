@@ -10,6 +10,12 @@
 #include <tuple>
 #include <vector>
 
+#include "deps/fine_grained_locks.hpp"
+#include "deps/waitfree_asm.hpp"
+#include "memory/pool_allocator.hpp"
+#include "memory/system_allocator.hpp"
+#include "sched/sync_scheduler.hpp"
+
 namespace ats {
 namespace {
 
@@ -382,7 +388,11 @@ TEST(RuntimeConfigTest, BothAllocatorSettingsProduceAWorkingRuntime) {
         optimizedConfig(makeTopology(MachinePreset::Host, 2));
     config.usePoolAllocator = usePool;
     Runtime rt(config);
-    EXPECT_STREQ(rt.allocator().name(), usePool ? "pool" : "system");
+    if (usePool) {
+      EXPECT_NE(dynamic_cast<PoolAllocator*>(&rt.allocator()), nullptr);
+    } else {
+      EXPECT_NE(dynamic_cast<SystemAllocator*>(&rt.allocator()), nullptr);
+    }
     std::atomic<int> hits{0};
     for (int i = 0; i < 200; ++i) {
       rt.spawn({}, [&hits] { hits.fetch_add(1, std::memory_order_relaxed); });
@@ -441,11 +451,11 @@ TEST(RuntimeTest, SchedulerAndDepsMatchConfig) {
   RuntimeConfig config = withoutWaitFreeDepsConfig(
       makeTopology(MachinePreset::Host, 2));
   Runtime rt(config);
-  EXPECT_STREQ(rt.deps().name(), "fine_grained_locks");
-  EXPECT_STREQ(rt.scheduler().name(), "sync_dtlock");
+  EXPECT_NE(dynamic_cast<FineGrainedLocksDeps*>(&rt.deps()), nullptr);
+  EXPECT_NE(dynamic_cast<SyncScheduler*>(&rt.scheduler()), nullptr);
 
   Runtime rtOpt(optimizedConfig(makeTopology(MachinePreset::Host, 2)));
-  EXPECT_STREQ(rtOpt.deps().name(), "waitfree_asm");
+  EXPECT_NE(dynamic_cast<WaitFreeAsmDeps*>(&rtOpt.deps()), nullptr);
 }
 
 }  // namespace
