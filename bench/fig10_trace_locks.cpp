@@ -13,6 +13,11 @@
 //    (SchedServe events), handing each waiter up to eight ready tasks per
 //    serve when the queue is deep -> lower starvation.
 //    served_tasks / serves is the mean hand-off per serve batch.
+//  * Both variants run the optimized config, immediate successor on: a
+//    successor a worker's own completion readied runs next on that
+//    worker and never reaches the scheduler, so it is in no serve and
+//    no drain.  Serve and drain counts are lower than with the slot off
+//    by the kept share of the flood.
 //
 // Trace files (CTF-lite binary + text rendering) are written next to the
 // binary for inspection with examples/trace_inspection.

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <utility>
 
 #include "common/env.hpp"
 #include "common/stats.hpp"
@@ -16,6 +17,7 @@ const std::vector<Variant>& ablationVariants() {
       {"wo_jemalloc", &withoutJemallocConfig},
       {"wo_waitfree_deps", &withoutWaitFreeDepsConfig},
       {"wo_dtlock", &withoutDTLockConfig},
+      {"wo_immediate_successor", &withoutImmediateSuccessorConfig},
   };
   return v;
 }
@@ -66,21 +68,23 @@ void runFigure(const std::string& figure,
               cfg.topo.numCpus, cfg.reps,
               cfg.scale == AppScale::Full ? "full" : "quick");
   std::printf("# efficiency = 100 * throughput / peak-throughput-per-app "
-              "(paper §6.2); higher is better\n\n");
+              "(paper §6.2); higher is better\n");
+  std::printf("# cell = median efficiency over the reps (IQR in "
+              "efficiency points)\n\n");
 
   for (const std::string& appName : appNames()) {
     auto app = makeApp(appName, cfg.scale);
     const auto sizes = selectSizes(app->defaultBlockSizes(), cfg.maxPoints);
 
-    // grid[v][s] = mean throughput of variant v at size s.
-    std::vector<std::vector<double>> grid(variants.size());
+    // grid[v][s] = throughput quartiles of variant v at size s.
+    std::vector<std::vector<Quartiles>> grid(variants.size());
     std::vector<double> grains(sizes.size(), 0.0);
     double peak = 0.0;
 
     for (std::size_t v = 0; v < variants.size(); ++v) {
       Runtime rt(variants[v].make(cfg.topo));
       for (std::size_t s = 0; s < sizes.size(); ++s) {
-        RunningStats stats;
+        std::vector<double> throughputs;
         for (std::size_t rep = 0; rep < cfg.reps; ++rep) {
           const AppResult r = app->run(rt, sizes[s]);
           if (!r.verified) {
@@ -91,22 +95,27 @@ void runFigure(const std::string& figure,
                          sizes[s], r.checksum);
             std::exit(1);
           }
-          stats.add(r.throughput());
+          throughputs.push_back(r.throughput());
           grains[s] = r.grainWorkUnits();
         }
-        grid[v].push_back(stats.mean());
-        peak = std::max(peak, stats.mean());
+        grid[v].push_back(quartilesOf(std::move(throughputs)));
+        peak = std::max(peak, grid[v].back().median);
       }
     }
 
     std::printf("# %s %s\n", figure.c_str(), appName.c_str());
     std::printf("%-18s", "grain_work_units");
-    for (const Variant& v : variants) std::printf("  %-18s", v.label.c_str());
+    for (const Variant& v : variants) std::printf("  %-22s", v.label.c_str());
     std::printf("\n");
+    const double scale = peak > 0 ? 100.0 / peak : 0.0;
     for (std::size_t s = 0; s < sizes.size(); ++s) {
       std::printf("%-18.3g", grains[s]);
-      for (std::size_t v = 0; v < variants.size(); ++v)
-        std::printf("  %-18.1f", peak > 0 ? 100.0 * grid[v][s] / peak : 0.0);
+      for (std::size_t v = 0; v < variants.size(); ++v) {
+        char cell[48];
+        std::snprintf(cell, sizeof(cell), "%.1f (%.1f)",
+                      scale * grid[v][s].median, scale * grid[v][s].iqr());
+        std::printf("  %-22s", cell);
+      }
       std::printf("\n");
     }
     std::printf("\n");

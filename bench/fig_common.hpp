@@ -16,7 +16,8 @@ struct Variant {
   RuntimeConfig (*make)(const Topology&);
 };
 
-/// The four ablation curves of Figures 4-6.
+/// The four ablation curves of Figures 4-6, plus `wo_immediate_successor`
+/// (the optimized runtime without Nanos6's immediate-successor slot).
 const std::vector<Variant>& ablationVariants();
 
 /// The runtime-comparison curves of Figures 7-9.  "nanos6" is the fully
@@ -48,11 +49,13 @@ SweepConfig resolveSweepConfig();
 /// Run one paper figure over all eight apps: for each app, sweep block
 /// sizes on every variant, compute the paper's efficiency metric
 /// (percent of the peak performance observed across the app's whole
-/// grid), and print one table per app:
+/// grid), and print one table per app.  Each cell is the median over the
+/// reps, with the IQR in efficiency points after it; the peak is the
+/// highest cell median:
 ///
 ///   # fig_ablation lulesh
-///   grain_work_units  optimized  wo_jemalloc  wo_waitfree_deps  wo_dtlock
-///   2.1e6             100.0      97.3         95.1              98.8
+///   grain_work_units  optimized     wo_jemalloc  ...
+///   2.1e6             100.0 (1.2)   97.3 (3.0)   ...
 ///   ...
 ///
 /// Every run is verified against the app's serial reference; a

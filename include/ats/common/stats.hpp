@@ -1,42 +1,36 @@
 #pragma once
 
-#include <cmath>
+#include <algorithm>
 #include <cstddef>
-#include <limits>
+#include <vector>
 
 namespace ats {
 
-/// Single-pass mean/variance accumulator (Welford).  Used by the figure
-/// harnesses to aggregate repetitions without storing every sample.
-class RunningStats {
- public:
-  void add(double x) {
-    ++count_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-  }
+/// The quartiles of a sample, each interpolated linearly between the two
+/// nearest order statistics (numpy's default).  The figure harnesses
+/// summarize each cell's repetitions with them: the median, which one
+/// slow rep cannot drag, and the IQR as the cell's spread.
+struct Quartiles {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
 
-  std::size_t count() const { return count_; }
-  double mean() const { return count_ > 0 ? mean_ : 0.0; }
-
-  /// Sample variance (n-1 denominator); 0 with fewer than two samples.
-  double variance() const {
-    return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-  }
-
-  double stddev() const { return std::sqrt(variance()); }
-  double min() const { return count_ > 0 ? min_ : 0.0; }
-  double max() const { return count_ > 0 ? max_ : 0.0; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
+  double iqr() const { return q3 - q1; }
 };
+
+/// Quartiles of `samples` (taken by value and sorted); all zero when
+/// empty.
+inline Quartiles quartilesOf(std::vector<double> samples) {
+  if (samples.empty()) return {};
+  std::sort(samples.begin(), samples.end());
+  const auto at = [&samples](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] +
+           (samples[hi] - samples[lo]) * (pos - static_cast<double>(lo));
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
 
 }  // namespace ats

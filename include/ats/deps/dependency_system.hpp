@@ -56,15 +56,28 @@ class DependencySystem {
                             std::size_t count, std::size_t cpu) = 0;
 
   /// Release every access of a completed task, resolving successor
-  /// preconditions; newly-ready tasks surface through the sink with the
-  /// caller's `cpu`.  Called exactly once per task, after its body RAN,
-  /// FAILED (threw), or was SKIPPED by a cancellation drain — an
-  /// implementation must never assume the body executed or infer
-  /// anything from its side effects (failure-domain audit: both
-  /// implementations only walk access nodes the REGISTRATION wrote, so
-  /// released-but-never-run tasks are indistinguishable from ran ones
-  /// here, which is exactly what the skip-don't-run drain relies on).
-  virtual void release(DepTask* task, std::size_t cpu) = 0;
+  /// preconditions, and hand the LAST task this release readied back to
+  /// the caller (nullptr when it readied none) instead of to the sink;
+  /// every earlier one surfaces through the sink with the caller's
+  /// `cpu`, in the order it was readied.  This is the immediate-successor
+  /// hand-back: the runtime runs the returned task next on the releasing
+  /// worker (DESIGN.md, "Immediate successor").  Called exactly once per
+  /// task, after its body RAN, FAILED (threw), or was SKIPPED by a
+  /// cancellation drain — an implementation must never assume the body
+  /// executed or infer anything from its side effects (failure-domain
+  /// audit: both implementations only walk access nodes the
+  /// REGISTRATION wrote, so released-but-never-run tasks are
+  /// indistinguishable from ran ones here, which is exactly what the
+  /// skip-don't-run drain relies on).
+  virtual DepTask* releaseKeepingLast(DepTask* task, std::size_t cpu) = 0;
+
+  /// releaseKeepingLast, then the kept task to the sink too: every task
+  /// the release readies surfaces through the sink, in readied order.
+  /// For callers with nowhere to run a kept task (the suite's replay,
+  /// micro_spawn, tests, the runtime with the slot off).
+  void release(DepTask* task, std::size_t cpu) {
+    if (DepTask* last = releaseKeepingLast(task, cpu)) sink_.ready(last, cpu);
+  }
 
   /// Quiescent-state cleanup: forget all chains so task descriptors can
   /// be recycled.  Caller guarantees no task is in flight and no
@@ -72,20 +85,24 @@ class DependencySystem {
   virtual void reset() = 0;
 
  protected:
-  /// One precondition of `task` resolved; ready it on reaching zero.
-  /// pendingDeps counts outstanding preconditions, one of which is the
-  /// caller's; observing 1 therefore means the caller owns the last and
-  /// nobody else can touch the counter — skip the RMW.  The acquire
-  /// syncs with the acq_rel chain of earlier resolvers, so the readied
-  /// body still sees every predecessor's effects.
-  void resolveOne(DepTask* task, std::size_t cpu) {
+  /// One precondition of `task` resolved by a release; on reaching zero
+  /// the task becomes the release's `kept` one, and the task kept before
+  /// it goes to the sink (Nanos6's displacement rule: the slot holds the
+  /// newest readied task).  pendingDeps counts outstanding
+  /// preconditions, one of which is the caller's; observing 1 therefore
+  /// means the caller owns the last and nobody else can touch the
+  /// counter — skip the RMW.  The acquire syncs with the acq_rel chain
+  /// of earlier resolvers, so the readied body still sees every
+  /// predecessor's effects.
+  void resolveOne(DepTask* task, std::size_t cpu, DepTask*& kept) {
     if (task->pendingDeps.load(std::memory_order_acquire) == 1) {
       task->pendingDeps.store(0, std::memory_order_relaxed);
-      sink_.ready(task, cpu);
     } else if (task->pendingDeps.fetch_sub(
-                   1, std::memory_order_acq_rel) == 1) {
-      sink_.ready(task, cpu);
+                   1, std::memory_order_acq_rel) != 1) {
+      return;
     }
+    if (kept != nullptr) sink_.ready(kept, cpu);
+    kept = task;
   }
 
   /// Drop the creation guard plus the `resolved` preconditions that

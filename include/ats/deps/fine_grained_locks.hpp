@@ -26,7 +26,7 @@ class FineGrainedLocksDeps final : public DependencySystem {
 
   void registerTask(DepTask* task, const Access* accesses,
                     std::size_t count, std::size_t cpu) override;
-  void release(DepTask* task, std::size_t cpu) override;
+  DepTask* releaseKeepingLast(DepTask* task, std::size_t cpu) override;
   void reset() override;
 
  private:

@@ -34,7 +34,7 @@ class WaitFreeAsmDeps final : public DependencySystem {
 
   void registerTask(DepTask* task, const Access* accesses,
                     std::size_t count, std::size_t cpu) override;
-  void release(DepTask* task, std::size_t cpu) override;
+  DepTask* releaseKeepingLast(DepTask* task, std::size_t cpu) override;
   void reset() override;
 
  private:

@@ -207,14 +207,20 @@ class Runtime {
   Task* allocateTask();
   void registerAndSubmit(Task* task, std::span<const Access> accesses);
   void workerLoop(std::size_t cpu);
-  /// The one place a dequeued task's body runs: skip check against the
-  /// graph's cancellation token, TaskStart/End|Failed tracing, the
-  /// catch frame that turns a throwing body into a poisoned graph, and
-  /// the unconditional complete() that keeps conservation true on every
-  /// path (run, fail, skip).
-  void executeTask(Task* task, std::size_t cpu);
+  /// The one place a task's body runs, whether dequeued or kept: skip
+  /// check against the graph's cancellation token, TaskStart/End|Failed
+  /// tracing, the catch frame that turns a throwing body into a poisoned
+  /// graph, and the unconditional complete() that keeps conservation
+  /// true on every path (run, fail, skip).  Returns complete()'s kept
+  /// successor, which the caller executes next.
+  Task* executeTask(Task* task, std::size_t cpu);
   void drainAndHelp();
-  void complete(Task* task);
+  /// Retire `task` and release its dependencies.  With
+  /// `immediateSuccessor` on, returns the last successor the release
+  /// readied (nullptr when none) for the calling thread to run next;
+  /// with it off, every successor goes to the scheduler and this returns
+  /// nullptr.
+  Task* complete(Task* task);
   void quiesce();
   /// Spawned minus retired, summed over the stripes in the order the
   /// quiescence argument needs (see SlotCounters): never a false zero.
@@ -225,11 +231,12 @@ class Runtime {
   static void readyThunk(void* ctx, DepTask* task, std::size_t cpu);
 
   /// The runtime's per-task bookkeeping, striped per CPU slot: live
-  /// descriptors (allocated minus reclaimed), tasks spawned, and tasks
-  /// retired.  Each slot has a single writing thread — workers their
-  /// own, every non-worker the spawner slot — so every bump is a plain
-  /// load+store on a line no other writer touches, instead of a
-  /// shared-line RMW per spawn and per completion.
+  /// descriptors (allocated minus reclaimed), tasks spawned, tasks
+  /// retired, and successors kept (run next by the slot's thread instead
+  /// of going through the scheduler).  Each slot has a single writing
+  /// thread — workers their own, every non-worker the spawner slot — so
+  /// every bump is a plain load+store on a line no other writer touches,
+  /// instead of a shared-line RMW per spawn and per completion.
   ///
   /// Quiescence is read from the stripes: tasksInFlight() loads every
   /// `retired` with acquire, THEN every `spawned`, and taskwait stops
@@ -254,6 +261,7 @@ class Runtime {
     std::atomic<std::int64_t> descriptors{0};
     std::atomic<std::int64_t> spawned{0};
     std::atomic<std::int64_t> retired{0};
+    std::atomic<std::int64_t> kept{0};
   };
 
   /// Single-writer add on one of the calling thread's own counters.

@@ -40,6 +40,15 @@ struct RuntimeConfig {
   /// role); false = plain system malloc.
   bool usePoolAllocator = true;
 
+  /// Immediate successor (Nanos6's per-CPU slot): a worker runs the last
+  /// task its own completion readied next, in place of handing it to the
+  /// scheduler, so a chain step keeps the predecessor's core and cache.
+  /// At most one such task per worker; the others the release readies go
+  /// to the scheduler as usual.  On in the Nanos6-shaped configs; off in
+  /// the GOMP/LLVM stand-ins, whose own designs lack or already provide
+  /// that locality (DESIGN.md, "Immediate successor").
+  bool immediateSuccessor = false;
+
   /// Stall watchdog (failure domains): 0 disables; a positive value
   /// starts one monitor thread per Runtime that fires when tasks are in
   /// flight but no task has retired for this many milliseconds — dumping
@@ -75,6 +84,7 @@ RuntimeConfig optimizedConfig(const Topology& topo);
 RuntimeConfig withoutJemallocConfig(const Topology& topo);
 RuntimeConfig withoutWaitFreeDepsConfig(const Topology& topo);
 RuntimeConfig withoutDTLockConfig(const Topology& topo);
+RuntimeConfig withoutImmediateSuccessorConfig(const Topology& topo);
 
 /// Architectural stand-ins of Figures 7-9.
 RuntimeConfig centralMutexRuntimeConfig(const Topology& topo);

@@ -27,8 +27,8 @@ namespace ats {
 ///
 /// Serving is the §8 flat-combining batch: the holder snapshots a run of
 /// queued requests with one `popWaiters` pass, pulls the batch's tasks
-/// with one `getTasks` call, and publishes every answer behind a single
-/// release fence (`serveBatch`).  A policy that cannot give every waiter
+/// with one `getTasks` call, and publishes each answer with its own
+/// release store (`serveBatch`).  A policy that cannot give every waiter
 /// one task is topped up with a bounded drain; the unbounded refill runs
 /// at most once per lock hold.
 ///

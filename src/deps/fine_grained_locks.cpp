@@ -75,7 +75,9 @@ void FineGrainedLocksDeps::registerTask(DepTask* task,
                      resolved, cpu);
 }
 
-void FineGrainedLocksDeps::release(DepTask* task, std::size_t cpu) {
+DepTask* FineGrainedLocksDeps::releaseKeepingLast(DepTask* task,
+                                                  std::size_t cpu) {
+  DepTask* kept = nullptr;
   for (std::size_t i = 0; i < task->numAccesses; ++i) {
     Node* node = std::launder(reinterpret_cast<Node*>(task->accessNodes[i]));
     ObjectLocked& obj = *node->home;
@@ -114,14 +116,16 @@ void FineGrainedLocksDeps::release(DepTask* task, std::size_t cpu) {
         }
       }
     }
-    // Read each link before resolving its node: resolveOne may run,
-    // complete and reclaim that node's descriptor.
+    // Read each link before resolving its node: once a later resolution
+    // displaces it to the sink, its task may run, complete and reclaim
+    // that node's descriptor.
     while (eligibleHead != nullptr) {
       Node* next = eligibleHead->nextEligible;
-      resolveOne(eligibleHead->task, cpu);
+      resolveOne(eligibleHead->task, cpu, kept);
       eligibleHead = next;
     }
   }
+  return kept;
 }
 
 void FineGrainedLocksDeps::reset() {

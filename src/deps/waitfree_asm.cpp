@@ -212,7 +212,9 @@ std::int32_t WaitFreeAsmDeps::registerWrite(ObjectAsm& obj, Node* node) {
   return resolved;
 }
 
-void WaitFreeAsmDeps::release(DepTask* task, std::size_t cpu) {
+DepTask* WaitFreeAsmDeps::releaseKeepingLast(DepTask* task,
+                                             std::size_t cpu) {
+  DepTask* kept = nullptr;
   for (std::size_t i = 0; i < task->numAccesses; ++i) {
     Node* node = std::launder(reinterpret_cast<Node*>(task->accessNodes[i]));
     if (node->read) {
@@ -222,7 +224,7 @@ void WaitFreeAsmDeps::release(DepTask* task, std::size_t cpu) {
           group->pending.fetch_sub(1, std::memory_order_acq_rel) - 1;
       if (remaining == ReadGroup::kClosedBias) {
         Node* write = group->closingWrite.load(std::memory_order_acquire);
-        resolveOne(write->task, cpu);
+        resolveOne(write->task, cpu, kept);
         // We landed the drain of a closed group: every other reader's
         // fetch_sub is ordered before ours and none of them touches the
         // group again, so the owner's group reference dies with us.
@@ -246,20 +248,22 @@ void WaitFreeAsmDeps::release(DepTask* task, std::size_t cpu) {
         ordered = reader;
         reader = next;
       }
-      // Read each link BEFORE resolving its node: resolveOne may run,
-      // complete, and eagerly reclaim the reader's descriptor — and the
-      // link lives inside it.
+      // Read each link BEFORE resolving its node: a resolved reader
+      // reaches the sink when a later one displaces it, and may then run,
+      // complete, and eagerly reclaim its descriptor — and the link lives
+      // inside it.
       while (ordered != nullptr) {
         Node* next = ordered->nextReader;
-        resolveOne(ordered->task, cpu);
+        resolveOne(ordered->task, cpu, kept);
         ordered = next;
       }
       if (state & Node::kHasSuccessor) {
         Node* succ = node->successor.load(std::memory_order_acquire);
-        resolveOne(succ->task, cpu);
+        resolveOne(succ->task, cpu, kept);
       }
     }
   }
+  return kept;
 }
 
 void WaitFreeAsmDeps::reset() {

@@ -222,10 +222,18 @@ void Runtime::registerAndSubmit(Task* task,
   }
 }
 
-void Runtime::complete(Task* task) {
+Task* Runtime::complete(Task* task) {
   task->closureDestroy(*task);
   const std::size_t cpu = callerCpu();
-  deps_->release(task, cpu);
+  // The kept successor skips the scheduler entirely: no add-buffer push,
+  // no DTLock drain, no stash — the caller runs it next, while this
+  // task's outputs are still in its cache.  It is spawned and not yet
+  // retired, so quiescence waits for it like any queued task.
+  Task* kept = nullptr;
+  if (config_.immediateSuccessor)
+    kept = static_cast<Task*>(deps_->releaseKeepingLast(task, cpu));
+  else
+    deps_->release(task, cpu);
   // Execution reference: from here the descriptor lives only as long as
   // dependency chains can still reach it — often this drop reclaims it
   // on the spot.  Must precede the retire store so a taskwait'er seeing
@@ -236,6 +244,8 @@ void Runtime::complete(Task* task) {
   // visibly making progress).  Release order: the taskwait'er acquiring
   // this stripe must see the body's side effects.
   bumpOwned(slots_[cpu].retired, +1, std::memory_order_release);
+  if (kept != nullptr) bumpOwned(slots_[cpu].kept, +1);
+  return kept;
 }
 
 void Runtime::readyThunk(void* ctx, DepTask* task, std::size_t cpu) {
@@ -243,7 +253,7 @@ void Runtime::readyThunk(void* ctx, DepTask* task, std::size_t cpu) {
   self->sched_->addReadyTask(static_cast<Task*>(task), cpu);
 }
 
-void Runtime::executeTask(Task* task, std::size_t cpu) {
+Task* Runtime::executeTask(Task* task, std::size_t cpu) {
   Tracer* const tracer = config_.tracer;
   if (graph_.cancelled()) [[unlikely]] {
     // Skip path: the body never runs, but complete() still destroys the
@@ -255,8 +265,7 @@ void Runtime::executeTask(Task* task, std::size_t cpu) {
     if (tracer != nullptr)
       tracer->emit(cpu, TraceEvent::TaskSkipped,
                    reinterpret_cast<std::uintptr_t>(task));
-    complete(task);
-    return;
+    return complete(task);
   }
   if (tracer != nullptr)
     tracer->emit(cpu, TraceEvent::TaskStart,
@@ -291,7 +300,7 @@ void Runtime::executeTask(Task* task, std::size_t cpu) {
     tracer->emit(cpu, TraceEvent::TaskEnd,
                  reinterpret_cast<std::uintptr_t>(task));
   }
-  complete(task);
+  return complete(task);
 }
 
 void Runtime::workerLoop(std::size_t cpu) {
@@ -317,7 +326,7 @@ void Runtime::workerLoop(std::size_t cpu) {
         tracer->emit(cpu, TraceEvent::WorkerIdleEnd);
       waiter.reset();
       idleStreak = 0;
-      executeTask(task, cpu);
+      while (task != nullptr) task = executeTask(task, cpu);
     } else {
       ++idleStreak;
       if (tracer != nullptr && idleStreak == kIdleEmitStreak)
@@ -365,7 +374,7 @@ void Runtime::drainAndHelp() {
     Task* task = sched_->getReadyTask(cpu);
     if (task != nullptr) {
       waiter.reset();
-      executeTask(task, cpu);
+      while (task != nullptr) task = executeTask(task, cpu);
     } else if (tasksInFlight() == 0) {
       break;
     } else {
@@ -444,18 +453,22 @@ std::string Runtime::watchdogReport() const {
   out += line;
   // One line per slot (the last is the spawner's): spawned and retired
   // show where work entered and left, the descriptor delta where it is
-  // still held.
+  // still held, and kept how many of the slot's tasks bypassed the
+  // scheduler as immediate successors.
   for (std::size_t i = 0; i <= config_.topo.numCpus; ++i) {
     const SlotCounters& slot = slots_[i];
     std::snprintf(line, sizeof(line),
-                  "  slot %zu: spawned=%lld retired=%lld descriptors=%lld\n",
+                  "  slot %zu: spawned=%lld retired=%lld descriptors=%lld "
+                  "kept=%lld\n",
                   i,
                   static_cast<long long>(
                       slot.spawned.load(std::memory_order_relaxed)),
                   static_cast<long long>(
                       slot.retired.load(std::memory_order_relaxed)),
                   static_cast<long long>(
-                      slot.descriptors.load(std::memory_order_relaxed)));
+                      slot.descriptors.load(std::memory_order_relaxed)),
+                  static_cast<long long>(
+                      slot.kept.load(std::memory_order_relaxed)));
     out += line;
   }
   return out;

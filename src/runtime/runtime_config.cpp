@@ -8,6 +8,7 @@ RuntimeConfig optimizedConfig(const Topology& topo) {
   config.scheduler = SchedulerKind::SyncDelegation;
   config.deps = DepsKind::WaitFreeAsm;
   config.usePoolAllocator = true;
+  config.immediateSuccessor = true;
   return config;
 }
 
@@ -29,18 +30,26 @@ RuntimeConfig withoutDTLockConfig(const Topology& topo) {
   return config;
 }
 
+RuntimeConfig withoutImmediateSuccessorConfig(const Topology& topo) {
+  RuntimeConfig config = optimizedConfig(topo);
+  config.immediateSuccessor = false;
+  return config;
+}
+
 RuntimeConfig centralMutexRuntimeConfig(const Topology& topo) {
   RuntimeConfig config;
   config.topo = topo;
   config.scheduler = SchedulerKind::CentralMutex;
   config.deps = DepsKind::FineGrainedLocks;
   config.usePoolAllocator = false;
+  config.immediateSuccessor = false;
   return config;
 }
 
 RuntimeConfig workStealingRuntimeConfig(const Topology& topo) {
   RuntimeConfig config = optimizedConfig(topo);
   config.scheduler = SchedulerKind::WorkStealing;
+  config.immediateSuccessor = false;
   return config;
 }
 

@@ -122,7 +122,7 @@ void SyncScheduler::serveWaiters(std::size_t cpu) {
     }
     for (std::size_t k = 0; k < got; ++k)
       items[k] = reinterpret_cast<std::uintptr_t>(tasks[k]);
-    // Every answer is published behind ONE release fence (the §8
+    // Each answer is published with its own release store (the §8
     // protocol), each waiter's extras written before it.
     lock_.serveBatch(waiterCpus, items, counts, n);
     // One coalesced SchedServe per batch, payload = tasks handed off,

@@ -5,40 +5,39 @@
 namespace ats {
 namespace {
 
-TEST(RunningStats, EmptyIsAllZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
+TEST(Quartiles, EmptyIsAllZero) {
+  const Quartiles q = quartilesOf({});
+  EXPECT_DOUBLE_EQ(q.q1, 0.0);
+  EXPECT_DOUBLE_EQ(q.median, 0.0);
+  EXPECT_DOUBLE_EQ(q.q3, 0.0);
+  EXPECT_DOUBLE_EQ(q.iqr(), 0.0);
 }
 
-TEST(RunningStats, KnownSample) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  // Sample variance with n-1: sum of squared deviations is 32.
-  EXPECT_DOUBLE_EQ(s.variance(), 32.0 / 7.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
+TEST(Quartiles, KnownSample) {
+  // Unsorted on purpose.  Positions 1.75, 3.5 and 5.25 of the sorted
+  // {2, 4, 4, 4, 5, 5, 7, 9}: q1 = 4, median = 4.5, q3 = 5 + 0.25 * 2.
+  const Quartiles q = quartilesOf({9.0, 4.0, 2.0, 5.0, 4.0, 7.0, 4.0, 5.0});
+  EXPECT_DOUBLE_EQ(q.q1, 4.0);
+  EXPECT_DOUBLE_EQ(q.median, 4.5);
+  EXPECT_DOUBLE_EQ(q.q3, 5.5);
+  EXPECT_DOUBLE_EQ(q.iqr(), 1.5);
 }
 
-TEST(RunningStats, SingleSampleHasZeroVariance) {
-  RunningStats s;
-  s.add(42.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 42.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 42.0);
-  EXPECT_DOUBLE_EQ(s.max(), 42.0);
+TEST(Quartiles, SingleSampleHasZeroSpread) {
+  const Quartiles q = quartilesOf({42.0});
+  EXPECT_DOUBLE_EQ(q.q1, 42.0);
+  EXPECT_DOUBLE_EQ(q.median, 42.0);
+  EXPECT_DOUBLE_EQ(q.q3, 42.0);
+  EXPECT_DOUBLE_EQ(q.iqr(), 0.0);
 }
 
-TEST(RunningStats, ShiftInvarianceUnderLargeOffsets) {
-  // Welford's point: a huge common offset must not destroy the variance.
-  RunningStats s;
-  for (double x : {1e9 + 4, 1e9 + 7, 1e9 + 13, 1e9 + 16}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 1e9 + 10);
-  EXPECT_NEAR(s.variance(), 30.0, 1e-6);
+TEST(Quartiles, OneOutlierDoesNotMoveTheMedian) {
+  // The figure cells' reason for the median: one slow rep out of five
+  // (here a 10x outlier) leaves the median where the other four put it.
+  const Quartiles q = quartilesOf({100.0, 101.0, 10.0, 99.0, 100.0});
+  EXPECT_DOUBLE_EQ(q.median, 100.0);
+  EXPECT_DOUBLE_EQ(q.q1, 99.0);
+  EXPECT_DOUBLE_EQ(q.q3, 100.0);
 }
 
 }  // namespace

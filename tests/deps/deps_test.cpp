@@ -124,6 +124,42 @@ TEST_P(EveryDepsSystemTest, ReadersRunTogetherWriterWaitsForAll) {
     EXPECT_EQ(rec_.counts[t], 1);
 }
 
+// The immediate-successor hand-back: the last task a release readies
+// comes back to the caller, and each one readied before it goes to the
+// sink as the next one displaces it.  release() sinks that last one too,
+// so its callers see the same sink order as ever.
+TEST_P(EveryDepsSystemTest, ReleaseKeepsTheLastReadiedSuccessor) {
+  long long x = 0, y = 0;
+  DepTask writer, r1, r2, r3;
+  reg(writer, {inout(x)});
+  reg(r1, {in(x)});
+  reg(r2, {in(x)});
+  reg(r3, {in(x)});
+  ASSERT_EQ(rec_.order, std::vector<DepTask*>{&writer});
+
+  EXPECT_EQ(deps_->releaseKeepingLast(&writer, 0), &r3);
+  EXPECT_EQ(rec_.order, (std::vector<DepTask*>{&writer, &r1, &r2}));
+
+  // A release that readies nothing keeps nothing.
+  EXPECT_EQ(deps_->releaseKeepingLast(&r1, 0), nullptr);
+  EXPECT_EQ(deps_->releaseKeepingLast(&r2, 0), nullptr);
+  EXPECT_EQ(deps_->releaseKeepingLast(&r3, 0), nullptr);
+  EXPECT_EQ(rec_.order.size(), 3u);
+
+  // The same graph through release(): all three readers reach the sink,
+  // in registration order.
+  DepTask writerY, s1, s2, s3;
+  reg(writerY, {inout(y)});
+  reg(s1, {in(y)});
+  reg(s2, {in(y)});
+  reg(s3, {in(y)});
+  rec_.order.clear();
+  deps_->release(&writerY, 0);
+  EXPECT_EQ(rec_.order, (std::vector<DepTask*>{&s1, &s2, &s3}));
+  for (DepTask* t : {&s1, &s2, &s3}) deps_->release(t, 0);
+  EXPECT_EQ(rec_.order.size(), 3u);
+}
+
 TEST_P(EveryDepsSystemTest, ReadsBeforeAnyWriteReadyImmediately) {
   long long x = 0;
   DepTask r0, r1, writer;

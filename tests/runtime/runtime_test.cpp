@@ -402,6 +402,91 @@ TEST(RuntimeConfigTest, BothAllocatorSettingsProduceAWorkingRuntime) {
   }
 }
 
+/// The slot belongs to the Nanos6-shaped configs (the optimized runtime
+/// and its ablations, bar the one that removes it); the GOMP and LLVM
+/// stand-ins keep their own designs' locality.
+TEST(RuntimeConfigTest, ImmediateSuccessorIsOnInTheNanos6ShapesOnly) {
+  const Topology topo = makeTopology(MachinePreset::Host, 2);
+  EXPECT_FALSE(RuntimeConfig{}.immediateSuccessor);
+  EXPECT_TRUE(optimizedConfig(topo).immediateSuccessor);
+  EXPECT_TRUE(withoutJemallocConfig(topo).immediateSuccessor);
+  EXPECT_TRUE(withoutWaitFreeDepsConfig(topo).immediateSuccessor);
+  EXPECT_TRUE(withoutDTLockConfig(topo).immediateSuccessor);
+  EXPECT_FALSE(withoutImmediateSuccessorConfig(topo).immediateSuccessor);
+  EXPECT_FALSE(centralMutexRuntimeConfig(topo).immediateSuccessor);
+  EXPECT_FALSE(workStealingRuntimeConfig(topo).immediateSuccessor);
+}
+
+/// An inout chain whose head spins until the spawner has registered
+/// every link behind it, so each link's release readies exactly one
+/// task: the next link.
+struct GatedChain {
+  static constexpr int kLinks = 200;
+
+  std::atomic<bool> gate{false};
+  std::thread::id head;
+  long long counter = 0;  // non-atomic: only the chain orders the links
+  std::vector<long long> observed = std::vector<long long>(kLinks, -1);
+  std::vector<std::thread::id> ranOn = std::vector<std::thread::id>(kLinks);
+
+  /// Spawns the head and the links, then opens the gate, then waits.
+  /// Returns how many tasks retired.
+  std::uint64_t run(Runtime& rt) {
+    const std::uint64_t retiredBefore = rt.tasksRetired();
+    rt.spawn({inout(counter)}, [this] {
+      while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
+      head = std::this_thread::get_id();
+    });
+    for (int i = 0; i < kLinks; ++i) {
+      rt.spawn({inout(counter)}, [this, i] {
+        const auto link = static_cast<std::size_t>(i);
+        ranOn[link] = std::this_thread::get_id();
+        observed[link] = counter;
+        ++counter;
+      });
+    }
+    gate.store(true, std::memory_order_release);
+    rt.taskwait();
+    return rt.tasksRetired() - retiredBefore;
+  }
+
+  void expectInOrder() const {
+    EXPECT_EQ(counter, kLinks);
+    for (int i = 0; i < kLinks; ++i) {
+      ASSERT_EQ(observed[static_cast<std::size_t>(i)], i)
+          << "chain link " << i << " ran out of order";
+    }
+  }
+};
+
+// With the slot on, every release keeps the one link it readied, so the
+// whole chain runs on whichever thread ran the head — never through the
+// scheduler, whatever the other workers are doing.
+TEST(ImmediateSuccessorTest, GatedChainRunsOnTheHeadsThread) {
+  Runtime rt(optimizedConfig(makeTopology(MachinePreset::Host, 4)));
+  GatedChain chain;
+  EXPECT_EQ(chain.run(rt), std::uint64_t{GatedChain::kLinks + 1});
+  chain.expectInOrder();
+  for (int i = 0; i < GatedChain::kLinks; ++i) {
+    ASSERT_EQ(chain.ranOn[static_cast<std::size_t>(i)], chain.head)
+        << "chain link " << i << " left the head's thread";
+  }
+  EXPECT_EQ(rt.liveDescriptors(), 0u);
+  EXPECT_EQ(rt.tasksFailed() + rt.tasksSkipped(), 0u);
+}
+
+TEST(ImmediateSuccessorTest, GatedChainWithoutTheSlotRunsInOrder) {
+  RuntimeConfig config =
+      optimizedConfig(makeTopology(MachinePreset::Host, 4));
+  config.immediateSuccessor = false;
+  Runtime rt(config);
+  GatedChain chain;
+  EXPECT_EQ(chain.run(rt), std::uint64_t{GatedChain::kLinks + 1});
+  chain.expectInOrder();
+  EXPECT_EQ(rt.liveDescriptors(), 0u);
+  EXPECT_EQ(rt.tasksFailed() + rt.tasksSkipped(), 0u);
+}
+
 TEST(RuntimeTest, SpanSpawnOrdersVariableArityAccessLists) {
   // The apps layer's halo idiom: arity decided at run time (boundary
   // blocks drop a neighbor), accesses passed through the span overload.
