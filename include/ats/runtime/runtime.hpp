@@ -164,6 +164,16 @@ class Runtime {
     return static_cast<std::uint64_t>(sum);
   }
 
+  /// Lifetime count of immediate successors: tasks a thread ran straight
+  /// after the completion that readied them, never entering the
+  /// scheduler.  Summed over the per-slot stripes; exact at quiescence.
+  std::uint64_t tasksKept() const {
+    std::int64_t sum = 0;
+    for (std::size_t i = 0; i <= config_.topo.numCpus; ++i)
+      sum += slots_[i].kept.load(std::memory_order_relaxed);
+    return static_cast<std::uint64_t>(sum);
+  }
+
  private:
   /// The one body thunk: `arg` points at the installed closure.
   template <typename F>

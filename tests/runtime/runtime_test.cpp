@@ -466,6 +466,7 @@ TEST(ImmediateSuccessorTest, GatedChainRunsOnTheHeadsThread) {
   Runtime rt(optimizedConfig(makeTopology(MachinePreset::Host, 4)));
   GatedChain chain;
   EXPECT_EQ(chain.run(rt), std::uint64_t{GatedChain::kLinks + 1});
+  EXPECT_EQ(rt.tasksKept(), std::uint64_t{GatedChain::kLinks});
   chain.expectInOrder();
   for (int i = 0; i < GatedChain::kLinks; ++i) {
     ASSERT_EQ(chain.ranOn[static_cast<std::size_t>(i)], chain.head)
@@ -482,6 +483,7 @@ TEST(ImmediateSuccessorTest, GatedChainWithoutTheSlotRunsInOrder) {
   Runtime rt(config);
   GatedChain chain;
   EXPECT_EQ(chain.run(rt), std::uint64_t{GatedChain::kLinks + 1});
+  EXPECT_EQ(rt.tasksKept(), 0u);
   chain.expectInOrder();
   EXPECT_EQ(rt.liveDescriptors(), 0u);
   EXPECT_EQ(rt.tasksFailed() + rt.tasksSkipped(), 0u);
