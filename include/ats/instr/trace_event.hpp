@@ -14,7 +14,7 @@ enum class TraceEvent : std::uint16_t {
   TaskStart = 1,       ///< payload: task descriptor address
   TaskEnd = 2,         ///< payload: task descriptor address
   SchedServe = 3,      ///< lock holder answered delegated waiters; payload: tasks handed off in the batch, each waiter's extras included (a waiter may take up to eight per serve).  Format v5 — v3/v4 packed a local/remote split into it.
-  SchedDrain = 4,      ///< add-buffers drained into the policy; payload: tasks moved
+  SchedDrain = 4,      ///< add-buffers drained into the ready queue; payload: tasks moved
   SchedLockContended = 5,  ///< an ADD found the central lock busy; payload: CPU
   WorkerIdleBegin = 6,     ///< first empty poll of an idle streak
   WorkerIdleEnd = 7,       ///< a task arrived after an idle streak

@@ -7,7 +7,7 @@
 
 #include "common/topology.hpp"
 #include "containers/spsc_queue.hpp"
-#include "sched/scheduler.hpp"
+#include "sched/ready_queue.hpp"
 
 namespace ats {
 
@@ -40,18 +40,16 @@ class AddBufferSet {
     return buffers_[cpu]->push(task);
   }
 
-  /// Move at most `maxTasks` published adds into the policy: rings in
-  /// slot order, each drained FIFO with one index update, and rings
-  /// past the cap left untouched.  Caller must hold the scheduler's
-  /// lock.  Returns the number of tasks moved (the SchedDrain trace
-  /// payload).
-  std::size_t drainInto(SchedulerPolicy& policy,
-                        std::size_t maxTasks = kNoCap) {
+  /// Move at most `maxTasks` published adds into `queue`: rings in slot
+  /// order, each drained FIFO with one index update, and rings past the
+  /// cap left untouched.  Caller must hold the scheduler's lock.
+  /// Returns the number of tasks moved (the SchedDrain trace payload).
+  std::size_t drainInto(ReadyQueue& queue, std::size_t maxTasks = kNoCap) {
     std::size_t drained = 0;
     for (const auto& buffer : buffers_) {
       if (drained >= maxTasks) break;
       drained += buffer->consumeN(maxTasks - drained,
-                                  [&](Task* task) { policy.addTask(task); });
+                                  [&](Task* task) { queue.push(task); });
     }
     return drained;
   }

@@ -23,7 +23,7 @@ inline constexpr std::size_t kPerCpuBufferCapacity = 256;
 /// `getReadyTask` is non-blocking: nullptr means "nothing ready now".
 ///
 /// Every scheduler optionally carries a §5 Tracer.  The contract for
-/// emission sites (kept by all three designs here):
+/// emission sites (kept by all four designs here):
 ///   * null-guard every emit, so the untraced configuration's hot paths
 ///     compile to exactly what they were before the instr layer;
 ///   * emit into the CALLER's stream (`cpu`) only — streams are
@@ -52,37 +52,14 @@ class Scheduler {
   /// The one way drains are traced, shared by every buffered scheduler
   /// so the event's semantics (caller's stream, payload = tasks moved,
   /// silent when nothing moved) cannot drift per call site.  Feed it
-  /// `drainInto`'s return value: `emitDrain(cpu, buffers.drainInto(p))`.
+  /// `drainInto`'s return value:
+  /// `emitDrain(cpu, addBuffers_.drainInto(queue_))`.
   void emitDrain(std::size_t cpu, std::size_t drained) {
     if (tracer_ != nullptr && drained != 0)
       tracer_->emit(cpu, TraceEvent::SchedDrain, drained);
   }
 
   Tracer* tracer_;  ///< null = untraced (the common case)
-};
-
-/// An *unsynchronized* ready-queue policy.  The paper's point in §3.2 is
-/// that once the DTLock serializes access, the policy inside can be
-/// written as plain single-threaded code and swapped freely.  Callers
-/// guarantee mutual exclusion.  The one shipped policy is FifoPolicy
-/// (sched/policies.hpp); tests substitute their own through this seam.
-class SchedulerPolicy {
- public:
-  virtual ~SchedulerPolicy() = default;
-
-  virtual void addTask(Task* task) = 0;
-  virtual Task* getTask() = 0;
-
-  /// Pull up to `n` tasks into `out` in one pass — the bulk form the
-  /// batched delegation serve uses, so a combining burst costs the
-  /// policy one call instead of one virtual dispatch per waiter.
-  /// Returns how many were delivered (< n means the queue ran dry).
-  /// Same ordering contract as repeated getTask() calls.
-  virtual std::size_t getTasks(Task** out, std::size_t n) = 0;
-
-  /// Tasks queued right now.  The delegation serve sizes each waiter's
-  /// share from it (see SyncScheduler).
-  virtual std::size_t size() const = 0;
 };
 
 }  // namespace ats

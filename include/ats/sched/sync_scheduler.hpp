@@ -6,35 +6,36 @@
 #include "common/topology.hpp"
 #include "locks/locks.hpp"
 #include "sched/add_buffer_set.hpp"
+#include "sched/ready_queue.hpp"
 #include "sched/scheduler.hpp"
 
 namespace ats {
 
 /// The paper's scheduler (§3): per-CPU wait-free SPSC add-buffers in
-/// front of a single policy object, everything serialized by a DTLock.
+/// front of one FIFO ready queue, everything serialized by a DTLock.
 ///
 ///   * addReadyTask: push into the caller CPU's own SPSC buffer — no
 ///     shared-lock traffic at all on the common path.  When the buffer is
 ///     full, the caller takes the DTLock itself, drains the add-buffers
-///     into the policy, and serves any queued delegation requests
+///     into the queue, and serves any queued delegation requests
 ///     while it is there (the overflow "help-drain" protocol).
 ///   * getReadyTask: pop the caller slot's stash; only when it is empty,
 ///     `lockOrDelegate`.  Usually some other thread already holds the
 ///     lock and simply hands tasks back; the waiter never owns the lock,
-///     never drains, never touches the policy's cache lines.  Whichever
+///     never drains, never touches the queue's cache lines.  Whichever
 ///     thread does hold the lock drains the add-buffers, takes its own
 ///     share, and serves the delegation queue before releasing.
 ///
 /// Serving is the §8 flat-combining batch: the holder snapshots a run of
 /// queued requests with one `popWaiters` pass, pulls the batch's tasks
-/// with one `getTasks` call, and publishes each answer with its own
-/// release store (`serveBatch`).  A policy that cannot give every waiter
-/// one task is topped up with a bounded drain; the unbounded refill runs
-/// at most once per lock hold.
+/// with one `popN` call, and publishes each answer with its own release
+/// store (`serveBatch`).  A queue that cannot give every waiter one task
+/// is topped up with a bounded drain; the unbounded refill runs at most
+/// once per lock hold.
 ///
 /// Multi-task hand-off: every get, delegated or the holder's own, takes
 /// `share = clamp(ready / slots, 1, kMaxShare)` tasks, where `ready` is
-/// the policy's depth after the top-up drain.  A waiter's extras ride in
+/// the queue's depth after the top-up drain.  A waiter's extras ride in
 /// its DTLock result line; the first task is returned and the rest go to
 /// the slot's stash, which that slot's next gets pop before touching the
 /// lock.  Fewer than two queued tasks per slot deals one task per get.
@@ -58,9 +59,9 @@ class SyncScheduler final : public Scheduler {
   ///
   /// Traced variant emits SchedDrain per non-empty add-buffer drain and
   /// one SchedServe per serve batch with the hand-off count as payload.
-  SyncScheduler(Topology topo, std::unique_ptr<SchedulerPolicy> policy,
-                std::size_t spscCapacity = kPerCpuBufferCapacity,
-                Tracer* tracer = nullptr);
+  explicit SyncScheduler(Topology topo,
+                         std::size_t spscCapacity = kPerCpuBufferCapacity,
+                         Tracer* tracer = nullptr);
 
   void addReadyTask(Task* task, std::size_t cpu) override;
   Task* getReadyTask(std::size_t cpu) override;
@@ -81,7 +82,7 @@ class SyncScheduler final : public Scheduler {
 
   Topology topo_;
   DTLock lock_;
-  std::unique_ptr<SchedulerPolicy> policy_;
+  ReadyQueue queue_;
   AddBufferSet addBuffers_;
   std::unique_ptr<Stash[]> stashes_;
 };

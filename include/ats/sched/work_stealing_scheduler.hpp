@@ -11,8 +11,8 @@ namespace ats {
 
 /// The LLVM-family architectural alternative (fig7-9's "llvm_like"
 /// curve), now a real design instead of a relabeled SyncScheduler: one
-/// Chase–Lev deque per CPU slot, no central lock, no shared policy
-/// object — the decentralized counterpoint to the paper's centralized
+/// Chase–Lev deque per CPU slot, no central lock, no shared ready
+/// queue — the decentralized counterpoint to the paper's centralized
 /// delegation.
 ///
 ///   * addReadyTask(task, cpu): push onto slot `cpu`'s own deque.  The
@@ -28,11 +28,9 @@ namespace ats {
 ///     someone else just removed an element, so the retry loop is
 ///     progress-bounded by the victim's queue length.
 ///
-/// This design bypasses the SchedulerPolicy serialization model the
-/// other three schedulers share: there is no point where one thread
-/// holds all the tasks, so a pluggable single-threaded policy object
-/// has nothing to serialize against: the per-deque LIFO/steal-FIFO
-/// order IS the policy.
+/// The other three schedulers serialize one ReadyQueue behind a lock;
+/// this one has no point where one thread holds all the tasks, so the
+/// per-deque LIFO/steal-FIFO order IS the ready order.
 ///
 /// Traced variant emits one SchedSteal per successful steal (payload =
 /// victim slot) into the thief's stream — bounded by tasks executed,

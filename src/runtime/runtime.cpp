@@ -351,13 +351,13 @@ void Runtime::drainAndHelp() {
   // same bug: a WORKER-run body (callerCpu() is a worker slot), and a
   // body the spawner itself is helping with during an outer taskwait
   // (same thread, so only the task-depth counter can tell).  Nested
-  // taskwait / taskwait-in-task is the open ROADMAP item under
-  // "Production service mode"; until that lands, fail loudly.
+  // taskwait / taskwait-in-task belongs to the "multi-tenant service
+  // mode" entry ROADMAP.md parks; until that returns, fail loudly.
   if (callerCpu() != spawnerCpu_ || tlsInTaskDepth > 0) {
     fatal("ats::Runtime::taskwait(): called from inside a task (slot %zu, "
           "task depth %d) — a task waiting on its own completion can "
-          "never finish; nested taskwait is an open ROADMAP item "
-          "(\"Production service mode\")",
+          "never finish; nested taskwait belongs to the parked ROADMAP "
+          "entry \"multi-tenant service mode\"",
           callerCpu(), tlsInTaskDepth);
   }
   const std::size_t cpu = spawnerCpu_;

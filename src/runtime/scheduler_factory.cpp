@@ -2,7 +2,6 @@
 
 #include "common/fatal.hpp"
 #include "sched/central_mutex_scheduler.hpp"
-#include "sched/policies.hpp"
 #include "sched/ptlock_scheduler.hpp"
 #include "sched/sync_scheduler.hpp"
 #include "sched/work_stealing_scheduler.hpp"
@@ -10,22 +9,15 @@
 namespace ats {
 
 std::unique_ptr<Scheduler> makeScheduler(const RuntimeConfig& config) {
-  // The three serialized designs run the same FIFO policy, so the
-  // figures compare synchronization substrates, not queues.  WorkStealing
-  // has no serialization point to plug a policy into (see
-  // WorkStealingScheduler's header).
   switch (config.scheduler) {
     case SchedulerKind::CentralMutex:
-      return std::make_unique<CentralMutexScheduler>(
-          std::make_unique<FifoPolicy>(), config.tracer);
+      return std::make_unique<CentralMutexScheduler>(config.tracer);
     case SchedulerKind::PTLockCentral:
       return std::make_unique<PTLockScheduler>(
-          config.topo, std::make_unique<FifoPolicy>(), kPerCpuBufferCapacity,
-          config.tracer);
+          config.topo, kPerCpuBufferCapacity, config.tracer);
     case SchedulerKind::SyncDelegation:
       return std::make_unique<SyncScheduler>(
-          config.topo, std::make_unique<FifoPolicy>(), kPerCpuBufferCapacity,
-          config.tracer);
+          config.topo, kPerCpuBufferCapacity, config.tracer);
     case SchedulerKind::WorkStealing:
       return std::make_unique<WorkStealingScheduler>(
           config.topo, kPerCpuBufferCapacity, config.tracer);

@@ -1,14 +1,11 @@
 #include "sched/central_mutex_scheduler.hpp"
 
-#include <utility>
-
 #include "instr/tracer.hpp"
 
 namespace ats {
 
-CentralMutexScheduler::CentralMutexScheduler(
-    std::unique_ptr<SchedulerPolicy> policy, Tracer* tracer)
-    : Scheduler(tracer), policy_(std::move(policy)) {}
+CentralMutexScheduler::CentralMutexScheduler(Tracer* tracer)
+    : Scheduler(tracer) {}
 
 void CentralMutexScheduler::addReadyTask(Task* task, std::size_t cpu) {
   // The contention probe (try first, log, then block) runs ONLY under a
@@ -23,11 +20,11 @@ void CentralMutexScheduler::addReadyTask(Task* task, std::size_t cpu) {
       tracer_->emit(cpu, TraceEvent::SchedLockContended, cpu);
       guard.lock();
     }
-    policy_->addTask(task);
+    queue_.push(task);
     return;
   }
   std::lock_guard<std::mutex> guard(mutex_);
-  policy_->addTask(task);
+  queue_.push(task);
 }
 
 Task* CentralMutexScheduler::getReadyTask(std::size_t /*cpu*/) {
@@ -35,7 +32,7 @@ Task* CentralMutexScheduler::getReadyTask(std::size_t /*cpu*/) {
   // reads as "nothing ready yet" and the worker polls again.
   std::unique_lock<std::mutex> guard(mutex_, std::try_to_lock);
   if (!guard.owns_lock()) return nullptr;
-  return policy_->getTask();
+  return queue_.pop();
 }
 
 }  // namespace ats

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
 
 #include "common/failpoint.hpp"
 #include "instr/tracer.hpp"
@@ -15,15 +14,12 @@ namespace {
 constexpr std::size_t kDrainBurst = 64;
 }  // namespace
 
-PTLockScheduler::PTLockScheduler(Topology topo,
-                                 std::unique_ptr<SchedulerPolicy> policy,
-                                 std::size_t spscCapacity,
+PTLockScheduler::PTLockScheduler(Topology topo, std::size_t spscCapacity,
                                  Tracer* tracer)
     // Waiting-array slots must cover every thread that can contend; size
     // for at least the topology and leave headroom for oversubscription.
     : Scheduler(tracer),
       lock_(std::max<std::size_t>(64, topo.slotCount() * 2)),
-      policy_(std::move(policy)),
       addBuffers_(topo, spscCapacity) {}
 
 void PTLockScheduler::addReadyTask(Task* task, std::size_t cpu) {
@@ -43,8 +39,8 @@ void PTLockScheduler::addReadyTask(Task* task, std::size_t cpu) {
     if (lock_.tryLock()) {
       // Unbounded, so our full ring is empty before our task goes in
       // behind it.
-      emitDrain(cpu, addBuffers_.drainInto(*policy_));
-      policy_->addTask(task);
+      emitDrain(cpu, addBuffers_.drainInto(queue_));
+      queue_.push(task);
       lock_.unlock();
       return;
     }
@@ -67,13 +63,13 @@ Task* PTLockScheduler::getReadyTask(std::size_t cpu) {
   // contention event here: get-side lock misses happen at poll frequency
   // and the starvation they cause is already visible as WorkerIdle*.
   if (!lock_.tryLock()) return nullptr;
-  // Bounded drain first; the unbounded pass runs only when the policy is
+  // Bounded drain first; the unbounded pass runs only when the queue is
   // still dry, so no published add is ever stranded.
-  emitDrain(cpu, addBuffers_.drainInto(*policy_, kDrainBurst));
-  Task* task = policy_->getTask();
+  emitDrain(cpu, addBuffers_.drainInto(queue_, kDrainBurst));
+  Task* task = queue_.pop();
   if (task == nullptr) {
-    emitDrain(cpu, addBuffers_.drainInto(*policy_));
-    task = policy_->getTask();
+    emitDrain(cpu, addBuffers_.drainInto(queue_));
+    task = queue_.pop();
   }
   lock_.unlock();
   return task;

@@ -18,14 +18,12 @@ std::size_t shareOf(std::size_t ready, std::size_t slots) {
 }
 }  // namespace
 
-SyncScheduler::SyncScheduler(Topology topo,
-                             std::unique_ptr<SchedulerPolicy> policy,
-                             std::size_t spscCapacity, Tracer* tracer)
+SyncScheduler::SyncScheduler(Topology topo, std::size_t spscCapacity,
+                             Tracer* tracer)
     : Scheduler(tracer),
       topo_(std::move(topo)),
       lock_(std::max<std::size_t>(64, topo_.slotCount() * 2),
             std::max<std::size_t>(64, topo_.slotCount())),
-      policy_(std::move(policy)),
       addBuffers_(topo_, spscCapacity),
       stashes_(std::make_unique<Stash[]>(addBuffers_.numCpus())) {}
 
@@ -45,8 +43,8 @@ void SyncScheduler::addReadyTask(Task* task, std::size_t cpu) {
   lock_.lock();
   // Unbounded: the full ring is ours and must be emptied before our
   // task goes in behind it, or this producer's adds would reorder.
-  emitDrain(cpu, addBuffers_.drainInto(*policy_));
-  policy_->addTask(task);
+  emitDrain(cpu, addBuffers_.drainInto(queue_));
+  queue_.push(task);
   serveWaiters(cpu);
   lock_.unlock();
 }
@@ -69,15 +67,16 @@ Task* SyncScheduler::getReadyTask(std::size_t cpu) {
     return reinterpret_cast<Task*>(items[0]);
   }
   // A bounded drain first, so one hold does not turn into a drain loop;
-  // only when the policy is dry after that does the unbounded pass run.
-  emitDrain(cpu, addBuffers_.drainInto(*policy_, kServeBurst));
-  if (policy_->size() == 0) emitDrain(cpu, addBuffers_.drainInto(*policy_));
-  // The holder's own share, by the same rule a waiter's is dealt.
-  const std::size_t share =
-      shareOf(policy_->size(), addBuffers_.numCpus());
-  Task* task = policy_->getTask();
-  while (task != nullptr && stash.count + 1u < share)
-    stash.tasks[stash.count++] = policy_->getTask();
+  // only when the queue is dry after that does the unbounded pass run.
+  emitDrain(cpu, addBuffers_.drainInto(queue_, kServeBurst));
+  if (queue_.size() == 0) emitDrain(cpu, addBuffers_.drainInto(queue_));
+  // The holder's own share, by the same rule a waiter's is dealt: the
+  // first task is returned, the extras go to the stash in one bulk pull.
+  // An empty queue gives share 1, so the pull then asks for nothing.
+  const std::size_t share = shareOf(queue_.size(), addBuffers_.numCpus());
+  Task* task = queue_.pop();
+  stash.count =
+      static_cast<std::uint8_t>(queue_.popN(stash.tasks, share - 1));
   serveWaiters(cpu);
   lock_.unlock();
   return task;
@@ -102,19 +101,18 @@ void SyncScheduler::serveWaiters(std::size_t cpu) {
     const std::size_t want = std::min(kServeBurst, maxServes - served);
     const std::size_t n = lock_.popWaiters(waiterCpus, want);
     if (n == 0) break;
-    // Fewer tasks than waiters: top the policy up with a bounded drain;
+    // Fewer tasks than waiters: top the queue up with a bounded drain;
     // still short: one unbounded refill per lock hold.
-    if (policy_->size() < n)
-      emitDrain(cpu, addBuffers_.drainInto(*policy_, kServeBurst));
-    if (policy_->size() < n && !refilled) {
+    if (queue_.size() < n)
+      emitDrain(cpu, addBuffers_.drainInto(queue_, kServeBurst));
+    if (queue_.size() < n && !refilled) {
       refilled = true;
-      emitDrain(cpu, addBuffers_.drainInto(*policy_));
+      emitDrain(cpu, addBuffers_.drainInto(queue_));
     }
     // One bulk pull for the whole batch, `share` tasks per waiter.
     // Waiters past the pull are answered 0 ("nothing ready").
-    const std::size_t share =
-        shareOf(policy_->size(), addBuffers_.numCpus());
-    const std::size_t got = policy_->getTasks(tasks, n * share);
+    const std::size_t share = shareOf(queue_.size(), addBuffers_.numCpus());
+    const std::size_t got = queue_.popN(tasks, n * share);
     std::size_t dealt = 0;
     for (std::size_t i = 0; i < n; ++i) {
       counts[i] = std::min(share, got - dealt);
@@ -131,7 +129,7 @@ void SyncScheduler::serveWaiters(std::size_t cpu) {
     if (tracer_ != nullptr && got != 0)
       tracer_->emit(cpu, TraceEvent::SchedServe, got);
     served += n;
-    if (got < n) break;  // policy dry even after the one refill
+    if (got < n) break;  // queue dry even after the one refill
   }
 }
 

@@ -480,7 +480,7 @@ TEST(FatalDeathTest, TaskwaitInsideTaskBodyDiesNamingTheRoadmapItem) {
         rt.spawn({}, [&rt] { rt.taskwait(); });
         rt.taskwait();
       },
-      "called from inside a task.*Production service mode");
+      "called from inside a task.*multi-tenant service mode");
 }
 
 // The release-mode guard is all that stops a spawn from writing past the

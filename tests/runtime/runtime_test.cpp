@@ -216,7 +216,7 @@ TEST_P(RuntimeMatrixTest, TaskBodiesSpawningChildrenAreAllAwaited) {
   }
 }
 
-/// The SyncDelegation scheduler (FIFO policy) across worker counts on
+/// The SyncDelegation scheduler (FIFO ready queue) across worker counts on
 /// the optimized WaitFreeAsm runtime: 8 workers (many concurrent
 /// delegating getters, so serve batches run deep), 16 (twice as many
 /// getters, oversubscribing any small host) and 2 (the spawner is a

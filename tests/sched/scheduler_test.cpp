@@ -1,7 +1,7 @@
 #include "runtime/scheduler_factory.hpp"
 #include "sched/central_mutex_scheduler.hpp"
-#include "sched/policies.hpp"
 #include "sched/ptlock_scheduler.hpp"
+#include "sched/ready_queue.hpp"
 #include "sched/sync_scheduler.hpp"
 #include "sched/work_stealing_scheduler.hpp"
 
@@ -9,11 +9,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/env.hpp"
+#include "common/failpoint.hpp"
 #include "instr/tracer.hpp"
 #include "runtime/task.hpp"
 
@@ -34,11 +37,9 @@ std::unique_ptr<Scheduler> makeByName(
     Tracer* tracer = nullptr) {
   const Topology topo = testTopo(cpus);
   if (which == "central_mutex")
-    return std::make_unique<CentralMutexScheduler>(
-        std::make_unique<FifoPolicy>());
+    return std::make_unique<CentralMutexScheduler>();
   if (which == "ptlock")
-    return std::make_unique<PTLockScheduler>(
-        topo, std::make_unique<FifoPolicy>(), spscCapacity, tracer);
+    return std::make_unique<PTLockScheduler>(topo, spscCapacity, tracer);
   if (which == "work_steal")
     return std::make_unique<WorkStealingScheduler>(topo, spscCapacity);
   // Wide variants size the scheduler for kWideSlots slots while the test
@@ -46,14 +47,11 @@ std::unique_ptr<Scheduler> makeByName(
   // ring array that is almost all empty.
   if (which == "sync_dtlock_wide")
     return std::make_unique<SyncScheduler>(testTopo(kWideSlots),
-                                           std::make_unique<FifoPolicy>(),
                                            spscCapacity);
   if (which == "ptlock_wide")
     return std::make_unique<PTLockScheduler>(testTopo(kWideSlots),
-                                             std::make_unique<FifoPolicy>(),
                                              spscCapacity);
-  return std::make_unique<SyncScheduler>(
-      topo, std::make_unique<FifoPolicy>(), spscCapacity, tracer);
+  return std::make_unique<SyncScheduler>(topo, spscCapacity, tracer);
 }
 
 class EverySchedulerTest : public ::testing::TestWithParam<std::string> {};
@@ -74,8 +72,8 @@ TEST_P(EverySchedulerTest, SingleThreadFifoRoundTrip) {
   std::vector<Task> pool(100);
   for (auto& t : pool) sched->addReadyTask(&t, 0);
   for (auto& t : pool) {
-    // A single producer's adds must come back in insertion order under
-    // the FIFO policy, whichever CPU asks.
+    // A single producer's adds must come back in insertion order from
+    // the FIFO ready queue, whichever CPU asks.
     EXPECT_EQ(sched->getReadyTask(1), &t);
   }
   EXPECT_EQ(sched->getReadyTask(1), nullptr);
@@ -129,7 +127,7 @@ TEST_P(EverySchedulerTest, FloodConservesTasksExactlyOnce) {
 /// The add-buffer overflow path under the tracer: with 4-slot buffers
 /// the producer's adds overflow constantly while three getters run.
 /// Every task must come back exactly once, and the trace must show the
-/// add-buffers being drained into the policy.
+/// add-buffers being drained into the ready queue.
 class TinyBufferTracedFloodTest
     : public ::testing::TestWithParam<std::string> {};
 
@@ -149,8 +147,7 @@ TEST_P(TinyBufferTracedFloodTest, ConservesExactlyOnceAndTracesDrains) {
 TEST(SyncSchedulerTest, OverflowDrainLosesNothingAndKeepsOrder) {
   // Buffer of 8 while 1000 tasks pour in from one thread with no
   // consumer: the overflow help-drain path runs ~125 times.
-  auto sched = std::make_unique<SyncScheduler>(
-      testTopo(2), std::make_unique<FifoPolicy>(), 8);
+  auto sched = std::make_unique<SyncScheduler>(testTopo(2), 8);
   std::vector<Task> pool(1000);
   for (auto& t : pool) sched->addReadyTask(&t, 0);
   for (auto& t : pool) {
@@ -160,8 +157,7 @@ TEST(SyncSchedulerTest, OverflowDrainLosesNothingAndKeepsOrder) {
 }
 
 TEST(SyncSchedulerTest, PerCpuBuffersDrainFromAnyGetter) {
-  auto sched = std::make_unique<SyncScheduler>(
-      testTopo(4), std::make_unique<FifoPolicy>(), 64);
+  auto sched = std::make_unique<SyncScheduler>(testTopo(4), 64);
   std::vector<Task> pool(8);
   // Adds from several different CPUs sit in distinct SPSC buffers...
   for (std::size_t i = 0; i < pool.size(); ++i) {
@@ -179,81 +175,95 @@ TEST(SyncSchedulerTest, PerCpuBuffersDrainFromAnyGetter) {
   for (std::size_t i = 0; i < pool.size(); ++i) EXPECT_EQ(got[i], &pool[i]);
 }
 
-/// More concurrent getters than one combining batch answers.  A gate in
-/// the policy pins the first lock holder until every getter has started
-/// and had time to queue a delegation request behind it, so that one
-/// hold must answer the queue in more than one `kServeBurst` batch.
-/// Every task must still come back exactly once.
+/// Arms the `serve_batch` failpoint for one test.  `serveWaiters` runs
+/// it once per lock hold, from every get that takes the lock and every
+/// overflowing add, so the site can pin a holder (delay mode) or count
+/// holds (probability 0: `evaluations()` grows and nothing fires).  On
+/// exit the site gets back what ATS_FAILPOINTS gave it, or is disarmed:
+/// CI's perturbed run arms it from the environment and runs these tests
+/// in one process, in shuffled order.
+class ServeBatchFailpoint {
+ public:
+  ServeBatchFailpoint(double prob, std::uint64_t delayUs)
+      : site_(FailpointRegistry::instance().site("serve_batch")) {
+    site_.arm(FailpointMode::DelayUs, prob, 0, delayUs);
+  }
+  ~ServeBatchFailpoint() { restore(); }
+  ServeBatchFailpoint(const ServeBatchFailpoint&) = delete;
+  ServeBatchFailpoint& operator=(const ServeBatchFailpoint&) = delete;
+
+  /// Lock holds so far, as a running count: tests read deltas.
+  std::uint64_t holds() const { return site_.evaluations(); }
+
+  void restore() {
+    site_.disarm();
+    const std::string env = envString("ATS_FAILPOINTS", "");
+    for (std::size_t start = 0; start < env.size();) {
+      const std::size_t comma = std::min(env.find(',', start), env.size());
+      const std::string spec = env.substr(start, comma - start);
+      if (spec.rfind("serve_batch:", 0) == 0)
+        FailpointRegistry::instance().armFromSpec(spec);
+      start = comma + 1;
+    }
+  }
+
+ private:
+  Failpoint& site_;
+};
+
+/// More concurrent getters than one combining batch answers.  The first
+/// lock holder sleeps 200 ms in `serve_batch` while every other getter
+/// queues a delegation request behind it.  Each getter parks after its
+/// first get; if `serve_batch` ran once by then, one hold answered every
+/// waiter, so its serve loop ran past one `kServeBurst` batch.  Then the
+/// getters drain the queue, and every task must come back exactly once.
 TEST(SyncSchedulerTest, DelegationQueueDeeperThanOneBatchConservesExactlyOnce) {
   constexpr std::size_t kGetters = SyncScheduler::kServeBurst + 4;
   constexpr std::size_t kTasks = 20000;
-
-  // Every policy call runs under the scheduler's DTLock, so the plain
-  // fields below are ordered by the lock's hand-offs.
-  struct GatedFifo : SchedulerPolicy {
-    FifoPolicy inner;
-    std::atomic<std::size_t>* started = nullptr;
-    bool gated = false;
-    std::thread::id holder;       // the thread that took the gated hold
-    std::size_t holderPulls = 0;  // getTasks calls on that thread
-
-    void addTask(Task* t) override { inner.addTask(t); }
-    Task* getTask() override {
-      if (!gated) {
-        gated = true;
-        holder = std::this_thread::get_id();
-        while (started->load(std::memory_order_acquire) < kGetters)
-          std::this_thread::yield();
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      }
-      return inner.getTask();
-    }
-    std::size_t getTasks(Task** out, std::size_t n) override {
-      if (std::this_thread::get_id() == holder) ++holderPulls;
-      return inner.getTasks(out, n);
-    }
-    std::size_t size() const override { return inner.size(); }
-  };
-
-  std::atomic<std::size_t> started{0};
-  auto gatedPolicy = std::make_unique<GatedFifo>();
-  GatedFifo& policy = *gatedPolicy;
-  policy.started = &started;
-  SyncScheduler sched(testTopo(kGetters), std::move(gatedPolicy));
-  // Fill before any getter runs, so every batch of the gated hold finds
-  // enough tasks and the serve loop does not stop at a short batch.
+  SyncScheduler sched(testTopo(kGetters));
+  // Fill before arming, since overflowing adds take the lock too.  A
+  // deep queue keeps every batch of the pinned hold from running short.
   std::vector<Task> pool(kTasks);
   for (auto& t : pool) sched.addReadyTask(&t, 0);
 
+  ServeBatchFailpoint serveBatch(/*prob=*/1.0, /*delayUs=*/200000);
+  const std::uint64_t holdsBefore = serveBatch.holds();
+  std::atomic<bool> start{false};
+  std::atomic<std::size_t> parked{0};
+  std::atomic<bool> drain{false};
   std::atomic<std::size_t> retrieved{0};
   std::vector<std::vector<Task*>> got(kGetters);
-  std::size_t pullsInFirstHold = 0;
   std::vector<std::thread> threads;
   for (std::size_t c = 0; c < kGetters; ++c) {
     threads.emplace_back([&, c] {
+      while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
       bool first = true;
-      started.fetch_add(1, std::memory_order_release);
       while (retrieved.load(std::memory_order_relaxed) < kTasks) {
         Task* t = sched.getReadyTask(c);
-        // Only the gated holder's own thread ever bumps holderPulls, so
-        // its first return reads a value no other thread writes.
-        if (first && std::this_thread::get_id() == policy.holder)
-          pullsInFirstHold = policy.holderPulls;
-        first = false;
         if (t != nullptr) {
           got[c].push_back(t);
           retrieved.fetch_add(1, std::memory_order_relaxed);
         } else {
           std::this_thread::yield();
         }
+        if (first) {
+          first = false;
+          parked.fetch_add(1, std::memory_order_release);
+          while (!drain.load(std::memory_order_acquire))
+            std::this_thread::yield();
+        }
       }
     });
   }
+  start.store(true, std::memory_order_release);
+  while (parked.load(std::memory_order_acquire) < kGetters)
+    std::this_thread::yield();
+  EXPECT_EQ(serveBatch.holds() - holdsBefore, 1u)
+      << "the first gets took more than one lock hold";
+  serveBatch.restore();
+  drain.store(true, std::memory_order_release);
   for (auto& t : threads) t.join();
 
-  // Each batch starts with one bulk pull: two or more pulls in the first
-  // hold means the serve loop ran past one batch.
-  EXPECT_GE(pullsInFirstHold, 2u);
   std::vector<Task*> all;
   for (const auto& v : got) all.insert(all.end(), v.begin(), v.end());
   ASSERT_EQ(all.size(), kTasks);
@@ -264,74 +274,50 @@ TEST(SyncSchedulerTest, DelegationQueueDeeperThanOneBatchConservesExactlyOnce) {
   EXPECT_EQ(sched.getReadyTask(0), nullptr);
 }
 
-/// Counts every policy call; used to see which gets touch the lock.
-/// Calls arrive under the scheduler's DTLock, and the tests read the
-/// count from the only getter thread.
-struct CountingFifo : SchedulerPolicy {
-  FifoPolicy inner;
-  std::size_t calls = 0;
-
-  void addTask(Task* t) override {
-    ++calls;
-    inner.addTask(t);
-  }
-  Task* getTask() override {
-    ++calls;
-    return inner.getTask();
-  }
-  std::size_t getTasks(Task** out, std::size_t n) override {
-    ++calls;
-    return inner.getTasks(out, n);
-  }
-  std::size_t size() const override { return inner.size(); }
-};
-
-/// Deep queue (far more than two tasks per slot): one get takes a full
-/// share, and that slot's next kMaxShare - 1 gets return the following
-/// tasks in FIFO order from its stash without touching the policy.
-TEST(SyncSchedulerTest, DeepQueueGetTakesAShareTheNextGetsPopWithoutThePolicy) {
+/// Deep queue (far more than two tasks per slot): one get takes the lock
+/// once and a full share, and that slot's next kMaxShare - 1 gets return
+/// the following tasks in FIFO order from its stash without taking it.
+TEST(SyncSchedulerTest, DeepQueueGetTakesAShareTheNextGetsPopWithoutTheLock) {
   constexpr std::size_t kShare = SyncScheduler::kMaxShare;
-  auto counting = std::make_unique<CountingFifo>();
-  CountingFifo& policy = *counting;
-  // A small add-buffer overflows into the policy while the tasks pour
-  // in, so the queue is deep before the first get.
-  SyncScheduler sched(testTopo(4), std::move(counting), 8);
+  // A small add-buffer overflows into the queue while the tasks pour in,
+  // so the queue is deep before the first get.
+  SyncScheduler sched(testTopo(4), 8);
   std::vector<Task> pool(4 * kShare * 4);
   for (auto& t : pool) sched.addReadyTask(&t, 0);
-  ASSERT_GE(policy.inner.size(), 2 * kShare * 4);
 
+  ServeBatchFailpoint lockHolds(/*prob=*/0.0, /*delayUs=*/0);
   std::size_t next = 0;
   while (next < 2 * kShare) {
-    const std::size_t before = policy.calls;
+    const std::uint64_t before = lockHolds.holds();
     ASSERT_EQ(sched.getReadyTask(1), &pool[next++]);
-    EXPECT_GT(policy.calls, before) << "the share's first get pulls";
+    EXPECT_EQ(lockHolds.holds() - before, 1u)
+        << "the share's first get takes the lock once";
     for (std::size_t k = 1; k < kShare; ++k) {
-      const std::size_t stashed = policy.calls;
+      const std::uint64_t stashed = lockHolds.holds();
       ASSERT_EQ(sched.getReadyTask(1), &pool[next++]);
-      EXPECT_EQ(policy.calls, stashed) << "get " << next - 1
-                                       << " called the policy";
+      EXPECT_EQ(lockHolds.holds(), stashed)
+          << "get " << next - 1 << " took the lock";
     }
   }
 }
 
-/// Shallow queue (fewer than two tasks per slot): every get goes to the
-/// policy and comes back with one task, so no slot sits on work another
+/// Shallow queue (fewer than two tasks per slot): every get takes the
+/// lock and comes back with one task, so no slot sits on work another
 /// could run.
 TEST(SyncSchedulerTest, ShallowQueueDealsOneTaskPerGet) {
   constexpr std::size_t kSlots = 4;
-  auto counting = std::make_unique<CountingFifo>();
-  CountingFifo& policy = *counting;
-  SyncScheduler sched(testTopo(kSlots), std::move(counting));
+  SyncScheduler sched(testTopo(kSlots));
   std::vector<Task> pool(2 * kSlots - 1);
   for (auto& t : pool) sched.addReadyTask(&t, 0);
 
+  ServeBatchFailpoint lockHolds(/*prob=*/0.0, /*delayUs=*/0);
   for (auto& t : pool) {
-    const std::size_t before = policy.calls;
+    const std::uint64_t before = lockHolds.holds();
     ASSERT_EQ(sched.getReadyTask(2), &t);
-    EXPECT_GT(policy.calls, before) << "a get was served from a stash";
+    EXPECT_EQ(lockHolds.holds() - before, 1u)
+        << "a get was served from a stash";
   }
   EXPECT_EQ(sched.getReadyTask(2), nullptr);
-  EXPECT_EQ(policy.inner.size(), 0u);
 }
 
 /// Shaped like the nested workload: the spawner slot adds generator
@@ -346,7 +332,7 @@ TEST(SyncSchedulerTest, NestedAddersAndStashedSharesConserveExactlyOnce) {
   constexpr std::size_t kTotal = kGenerators * (1 + kChildren);
   Topology topo = testTopo(kWorkers);
   topo.reservedSlots = 1;  // slot kWorkers: the spawner, as in the Runtime
-  SyncScheduler sched(topo, std::make_unique<FifoPolicy>(), 32);
+  SyncScheduler sched(topo, 32);
   std::vector<Task> pool(kTotal);
 
   std::atomic<std::size_t> retrieved{0};
@@ -395,7 +381,7 @@ TEST(AddBufferSetTest, CappedDrainStopsAtTheCapInSlotOrder) {
   AddBufferSet buffers(topo, 16);
   EXPECT_EQ(buffers.numCpus(), 5u);
 
-  FifoPolicy fifo;
+  ReadyQueue queue;
   std::vector<Task> pool(5);
   ASSERT_TRUE(buffers.tryPush(&pool[0], 0));
   ASSERT_TRUE(buffers.tryPush(&pool[1], 1));
@@ -406,14 +392,14 @@ TEST(AddBufferSetTest, CappedDrainStopsAtTheCapInSlotOrder) {
   // A capped drain takes exactly the cap, rings in slot order, and
   // leaves the rest published; the uncapped drain reaches every ring,
   // the reserved slot's included.
-  EXPECT_EQ(buffers.drainInto(fifo, 2), 2u);
-  EXPECT_EQ(buffers.drainInto(fifo, 1), 1u);
-  EXPECT_EQ(buffers.drainInto(fifo), 2u);
-  EXPECT_EQ(buffers.drainInto(fifo), 0u);
+  EXPECT_EQ(buffers.drainInto(queue, 2), 2u);
+  EXPECT_EQ(buffers.drainInto(queue, 1), 1u);
+  EXPECT_EQ(buffers.drainInto(queue), 2u);
+  EXPECT_EQ(buffers.drainInto(queue), 0u);
 
   for (Task* expected : {&pool[0], &pool[1], &pool[3], &pool[4], &pool[2]})
-    EXPECT_EQ(fifo.getTask(), expected);
-  EXPECT_EQ(fifo.getTask(), nullptr);
+    EXPECT_EQ(queue.pop(), expected);
+  EXPECT_EQ(queue.pop(), nullptr);
 }
 
 TEST(SchedulerFactoryTest, BuildsTheConfiguredDesign) {
@@ -462,33 +448,33 @@ TEST(WorkStealingSchedulerTest, LocalPopIsLifoThenStealsAreFifo) {
   EXPECT_EQ(sched.getReadyTask(2), nullptr);
 }
 
-// ------------------------------------------------------------- policies
+// ---------------------------------------------------------- ready queue
 
-TEST(PolicyTest, FifoIsPlainFifo) {
-  FifoPolicy fifo;
+TEST(ReadyQueueTest, IsPlainFifo) {
+  ReadyQueue queue;
   std::vector<Task> pool(5);
-  EXPECT_EQ(fifo.getTask(), nullptr);
-  for (auto& t : pool) fifo.addTask(&t);
-  for (auto& t : pool) EXPECT_EQ(fifo.getTask(), &t);
-  EXPECT_EQ(fifo.getTask(), nullptr);
+  EXPECT_EQ(queue.pop(), nullptr);
+  for (auto& t : pool) queue.push(&t);
+  for (auto& t : pool) EXPECT_EQ(queue.pop(), &t);
+  EXPECT_EQ(queue.pop(), nullptr);
 }
 
-TEST(PolicyTest, BulkGetTasksMatchesRepeatedGetTask) {
+TEST(ReadyQueueTest, PopNMatchesRepeatedPop) {
   // The bulk form must deliver the same multiset in the same order as
-  // N getTask calls.
+  // N pop calls.
   std::vector<Task> pool(10);
-  FifoPolicy fifo;
-  for (auto& t : pool) fifo.addTask(&t);
+  ReadyQueue queue;
+  for (auto& t : pool) queue.push(&t);
   Task* out[16] = {};
   // Ask for more than available: got reports the true count.
-  EXPECT_EQ(fifo.getTasks(out, 16), pool.size());
+  EXPECT_EQ(queue.popN(out, 16), pool.size());
   std::vector<Task*> bulk(out, out + pool.size());
 
-  for (auto& t : pool) fifo.addTask(&t);
+  for (auto& t : pool) queue.push(&t);
   std::vector<Task*> oneByOne;
-  while (Task* t = fifo.getTask()) oneByOne.push_back(t);
+  while (Task* t = queue.pop()) oneByOne.push_back(t);
   EXPECT_EQ(bulk, oneByOne);
-  EXPECT_EQ(fifo.getTasks(out, 4), 0u);
+  EXPECT_EQ(queue.popN(out, 4), 0u);
 }
 
 }  // namespace
