@@ -79,8 +79,10 @@ TraceAnalysis runVariant(const char* label, SchedulerKind sched,
 int main() {
   const std::size_t threads = bench::figureWorkers();
   const std::string traceDir = envString("ATS_TRACE_DIR", ".");
+  const std::string spawner = bench::pinSpawner();
   std::printf("# fig10: scheduler lock comparison under fine-grained "
-              "miniAMR flood (%zu workers)\n\n", threads);
+              "miniAMR flood (%zu workers, %s)\n\n",
+              threads, spawner.c_str());
 
   const TraceAnalysis dt =
       runVariant("dtlock", SchedulerKind::SyncDelegation, threads, traceDir);

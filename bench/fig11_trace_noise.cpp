@@ -26,8 +26,10 @@ using namespace ats;
 int main() {
   const std::size_t threads = bench::figureWorkers();
   const std::string traceDir = envString("ATS_TRACE_DIR", ".");
+  const std::string spawner = bench::pinSpawner();
   std::printf("# fig11: OS-noise effect on the scheduler "
-              "(%zu workers, synthetic irq bursts)\n\n", threads);
+              "(%zu workers, %s, synthetic irq bursts)\n\n",
+              threads, spawner.c_str());
 
   Tracer tracer(threads, 1u << 18);
   RuntimeConfig cfg =

@@ -1,5 +1,7 @@
 #include "bench/fig_common.hpp"
 
+#include <sched.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -36,6 +38,22 @@ std::size_t figureWorkers() {
   return envSize("ATS_THREADS", cpus > 1 ? cpus - 1 : 1);
 }
 
+std::string pinSpawner() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0 ||
+      static_cast<std::size_t>(CPU_COUNT(&set)) <= figureWorkers())
+    return "spawner unpinned";
+  int last = 0;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+    if (CPU_ISSET(cpu, &set)) last = cpu;
+  CPU_ZERO(&set);
+  CPU_SET(last, &set);
+  if (sched_setaffinity(0, sizeof(set), &set) != 0)
+    return "spawner unpinned";
+  return "spawner on CPU " + std::to_string(last);
+}
+
 SweepConfig resolveSweepConfig() {
   SweepConfig cfg;
   const bool full = envFlag("ATS_FULL");
@@ -64,8 +82,9 @@ std::vector<std::size_t> selectSizes(std::vector<std::size_t> sizes,
 void runFigure(const std::string& figure,
                const std::vector<Variant>& variants) {
   const SweepConfig cfg = resolveSweepConfig();
-  std::printf("# %s: %zu workers, %zu reps, %s scale\n", figure.c_str(),
-              cfg.topo.numCpus, cfg.reps,
+  const std::string spawner = pinSpawner();
+  std::printf("# %s: %zu workers, %s, %zu reps, %s scale\n",
+              figure.c_str(), cfg.topo.numCpus, spawner.c_str(), cfg.reps,
               cfg.scale == AppScale::Full ? "full" : "quick");
   std::printf("# efficiency = 100 * throughput / peak-throughput-per-app "
               "(paper §6.2); higher is better\n");

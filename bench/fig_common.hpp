@@ -33,6 +33,13 @@ const std::vector<Variant>& runtimeComparisonVariants();
 /// that spawns and waits keeps a core of its own.
 std::size_t figureWorkers();
 
+/// Pin the calling thread, the one that spawns and waits, to the last
+/// allowed CPU when figureWorkers() leaves one free: the Runtime pins
+/// worker i to CPU i, so the spawner then has a core no worker runs on,
+/// as in ats_suite.  Call it before the first Runtime is built.  Returns
+/// "spawner on CPU n", or "spawner unpinned", for the harness header.
+std::string pinSpawner();
+
 /// Sweep parameters resolved from the environment:
 ///   ATS_THREADS  worker threads   (see figureWorkers)
 ///   ATS_FULL     paper-sized problems and full grids (default: quick)

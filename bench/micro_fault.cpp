@@ -1,5 +1,4 @@
-// Prices the failure-domain machinery (ISSUE 10) at its three cost
-// points:
+// Prices the failure-domain machinery:
 //
 //   * BM_FailpointUnarmed: one ATS_FAILPOINT pass with the site never
 //     armed — the price every production chokepoint pays forever.  The
@@ -9,23 +8,20 @@
 //     full evaluate() slow path (counter bump, RNG draw, threshold
 //     compare) without firing.  This is the worst steady-state cost an
 //     ATS_FAILPOINTS drill adds to a chokepoint it never trips.
-//   * BM_SpawnRoundTripGuarded: byte-for-byte the micro_spawn
-//     BM_SpawnRoundTripReused loop (same kBatch/kReusedVars/threads/
-//     config), now running through the catch frame + skip check +
-//     unarmed task_invoke failpoint that executeTask wraps every body
-//     in.  Compared against the PR-9 micro_spawn baseline by
-//     bench_compare.py; the acceptance bar is within 5%.
 //   * BM_CancelDrainDepth: cancel() latency — how long taskwait()
 //     takes to drain an already-built inout chain of depth N once the
 //     graph is poisoned.  Skipped tasks still pay dequeue + release,
 //     so this scales with depth; the number bounds how long a
 //     cancelled graph holds its workers.
+//
+// The catch frame + skip check + unarmed task_invoke failpoint that
+// executeTask wraps every body in has no bench here: every body runs
+// through them, so micro_spawn's BM_SpawnRoundTripReused prices them.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <chrono>
 #include <span>
-#include <vector>
 
 #include "common/failpoint.hpp"
 #include "runtime/runtime.hpp"
@@ -62,34 +58,6 @@ void BM_FailpointArmedMiss(benchmark::State& state) {
     }
   }
   site.disarm();
-  state.SetItemsProcessed(state.iterations() * kBatch);
-}
-
-/// Mirror of micro_spawn's BM_SpawnRoundTripReused (same constants, same
-/// config) — the spawn -> ready -> run -> release round trip now pays
-/// the executeTask catch frame on every body.  bench_compare.py holds
-/// this within 5% of the unguarded baseline.
-constexpr std::size_t kReusedVars = 128;
-
-void BM_SpawnRoundTripGuarded(benchmark::State& state) {
-  const auto accCount = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kThreads = 4;
-  RuntimeConfig cfg =
-      optimizedConfig(makeTopology(MachinePreset::Host, kThreads));
-  Runtime rt(cfg);
-  std::vector<long long> vars(kReusedVars);
-  std::size_t cursor = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < kBatch; ++i) {
-      Access acc[kMaxAccessesPerTask];
-      for (std::size_t j = 0; j < accCount; ++j) {
-        acc[j] = out(vars[cursor]);
-        cursor = cursor + 1 == vars.size() ? 0 : cursor + 1;
-      }
-      rt.spawn(std::span<const Access>(acc, accCount), [] {});
-    }
-    rt.taskwait();
-  }
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
 
@@ -134,10 +102,6 @@ void BM_CancelDrainDepth(benchmark::State& state) {
 
 BENCHMARK(BM_FailpointUnarmed);
 BENCHMARK(BM_FailpointArmedMiss);
-BENCHMARK(BM_SpawnRoundTripGuarded)
-    ->ArgName("acc")
-    ->Arg(1)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CancelDrainDepth)
     ->ArgName("depth")
     ->Arg(256)->Arg(1024)->Arg(4096)

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <cstdint>
 #include <exception>
 
 namespace ats {
@@ -20,7 +19,7 @@ namespace ats {
 ///     successors that will never be satisfied.
 ///   * the STICKY FIRST-ERROR SLOT: a CAS-claimed exception_ptr holder.
 ///     Concurrent failures race one CAS; exactly one wins and stores
-///     its exception_ptr, every later failure is counted but dropped —
+///     its exception_ptr, every later failure's error is dropped —
 ///     taskwaitChecked() rethrows the FIRST captured error, mirroring
 ///     what a serial execution of the graph would have surfaced first.
 ///
@@ -33,9 +32,9 @@ namespace ats {
 /// drain needs (no successor of a failed task runs), without any
 /// fence on the non-failing fast path.
 ///
-/// `failed_`/`skipped_` are LIFETIME counters (they survive reset) so
-/// tests and the fault-injection smoke can audit conservation across
-/// batches: executed + failed + skipped == spawned.
+/// The failure and skip COUNTS are not here: the Runtime keeps them in
+/// its per-slot stripes (Runtime::SlotCounters), so this line holds only
+/// what every dequeue reads and what a failure writes once.
 class GraphStatus {
  public:
   /// The per-dequeue check: one relaxed load.
@@ -43,10 +42,10 @@ class GraphStatus {
     return cancelled_.load(std::memory_order_relaxed);
   }
 
-  /// Record a captured task failure.  Returns true when this call is
-  /// the one that flipped the token (the caller emits GraphCancelled).
+  /// Record a captured task failure: keep its error if it is the first,
+  /// and flip the token.  Returns true when this call is the one that
+  /// flipped it (the caller emits GraphCancelled).
   bool poison(std::exception_ptr error) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
     int expected = kEmpty;
     if (errorState_.compare_exchange_strong(expected, kClaiming,
                                             std::memory_order_acq_rel,
@@ -65,8 +64,6 @@ class GraphStatus {
     return !cancelled_.exchange(true, std::memory_order_acq_rel);
   }
 
-  void noteSkip() { skipped_.fetch_add(1, std::memory_order_relaxed); }
-
   /// Move the first captured error out (empty when the graph only ever
   /// saw cancel() or nothing at all).  Quiescence-only: the caller
   /// guarantees no poison() is in flight, so kClaiming cannot be
@@ -83,20 +80,13 @@ class GraphStatus {
   }
 
   /// Re-arm for the next batch (quiescence-only).  Clears the token and
-  /// the error slot; the lifetime failure/skip counters survive.
+  /// the error slot.
   void reset() {
     if (errorState_.load(std::memory_order_acquire) == kSet) {
       firstError_ = nullptr;
       errorState_.store(kEmpty, std::memory_order_relaxed);
     }
     cancelled_.store(false, std::memory_order_release);
-  }
-
-  std::uint64_t tasksFailed() const {
-    return failed_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t tasksSkipped() const {
-    return skipped_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -107,8 +97,6 @@ class GraphStatus {
   std::atomic<bool> cancelled_{false};
   std::atomic<int> errorState_{kEmpty};
   std::exception_ptr firstError_;
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> skipped_{0};
 };
 
 }  // namespace ats

@@ -137,9 +137,8 @@ class Runtime {
   /// when one thread allocates what another reclaims); at quiescence it
   /// is exact.
   std::size_t liveDescriptors() const {
-    std::int64_t sum = 0;
-    for (std::size_t i = 0; i <= config_.topo.numCpus; ++i)
-      sum += slots_[i].descriptors.load(std::memory_order_relaxed);
+    const auto sum =
+        static_cast<std::int64_t>(sumSlots(&SlotCounters::descriptors));
     return sum > 0 ? static_cast<std::size_t>(sum) : 0;
   }
 
@@ -149,30 +148,25 @@ class Runtime {
 
   /// Lifetime failure counters (they survive taskwait/reset), for
   /// conservation audits: executed + tasksFailed() + tasksSkipped() ==
-  /// spawned, across every batch this Runtime ever ran.
-  std::uint64_t tasksFailed() const { return graph_.tasksFailed(); }
-  std::uint64_t tasksSkipped() const { return graph_.tasksSkipped(); }
+  /// spawned, across every batch this Runtime ever ran.  Summed over the
+  /// per-slot stripes; exact at quiescence.
+  std::uint64_t tasksFailed() const { return sumSlots(&SlotCounters::failed); }
+  std::uint64_t tasksSkipped() const {
+    return sumSlots(&SlotCounters::skipped);
+  }
 
   /// Monotonic count of retired tasks (completed, failed, or skipped) —
   /// the watchdog's progress probe, public so tests can assert on it.
   /// Summed over the per-slot stripes; exact at quiescence.  Acquire
   /// loads: tasksInFlight() builds its quiescence check on this read.
   std::uint64_t tasksRetired() const {
-    std::int64_t sum = 0;
-    for (std::size_t i = 0; i <= config_.topo.numCpus; ++i)
-      sum += slots_[i].retired.load(std::memory_order_acquire);
-    return static_cast<std::uint64_t>(sum);
+    return sumSlots(&SlotCounters::retired, std::memory_order_acquire);
   }
 
   /// Lifetime count of immediate successors: tasks a thread ran straight
   /// after the completion that readied them, never entering the
   /// scheduler.  Summed over the per-slot stripes; exact at quiescence.
-  std::uint64_t tasksKept() const {
-    std::int64_t sum = 0;
-    for (std::size_t i = 0; i <= config_.topo.numCpus; ++i)
-      sum += slots_[i].kept.load(std::memory_order_relaxed);
-    return static_cast<std::uint64_t>(sum);
-  }
+  std::uint64_t tasksKept() const { return sumSlots(&SlotCounters::kept); }
 
  private:
   /// The one body thunk: `arg` points at the installed closure.
@@ -242,8 +236,10 @@ class Runtime {
 
   /// The runtime's per-task bookkeeping, striped per CPU slot: live
   /// descriptors (allocated minus reclaimed), tasks spawned, tasks
-  /// retired, and successors kept (run next by the slot's thread instead
-  /// of going through the scheduler).  Each slot has a single writing
+  /// retired, successors kept (run next by the slot's thread instead of
+  /// going through the scheduler), and tasks failed and skipped (bumped
+  /// by the executing thread before complete(), so the `retired` release
+  /// store publishes them too).  Each slot has a single writing
   /// thread — workers their own, every non-worker the spawner slot — so
   /// every bump is a plain load+store on a line no other writer touches,
   /// instead of a shared-line RMW per spawn and per completion.
@@ -272,7 +268,10 @@ class Runtime {
     std::atomic<std::int64_t> spawned{0};
     std::atomic<std::int64_t> retired{0};
     std::atomic<std::int64_t> kept{0};
+    std::atomic<std::int64_t> failed{0};
+    std::atomic<std::int64_t> skipped{0};
   };
+  static_assert(sizeof(SlotCounters) == 64, "one line per slot");
 
   /// Single-writer add on one of the calling thread's own counters.
   static void bumpOwned(std::atomic<std::int64_t>& counter, std::int64_t by,
@@ -281,6 +280,17 @@ class Runtime {
   }
 
   SlotCounters& callerSlot() { return slots_[callerCpu()]; }
+
+  /// One counter summed over every slot's stripe, modulo 2^64 (a
+  /// `descriptors` stripe goes negative when another slot reclaims).
+  std::uint64_t sumSlots(
+      std::atomic<std::int64_t> SlotCounters::*counter,
+      std::memory_order order = std::memory_order_relaxed) const {
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i <= config_.topo.numCpus; ++i)
+      sum += static_cast<std::uint64_t>((slots_[i].*counter).load(order));
+    return sum;
+  }
 
   RuntimeConfig config_;
   std::size_t spawnerCpu_;
@@ -294,7 +304,6 @@ class Runtime {
   alignas(64) std::atomic<bool> stop_{false};
   alignas(64) GraphStatus graph_;
   std::vector<std::thread> workers_;
-  std::thread::id spawnerThread_;
   std::unique_ptr<Watchdog> watchdog_;  // destroyed first: see ~Runtime
 };
 

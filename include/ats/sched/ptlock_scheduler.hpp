@@ -8,19 +8,19 @@
 
 namespace ats {
 
-/// The paper's "w/o DTLock" ablation point: structurally the same
-/// scheduler as SyncScheduler — per-CPU SPSC add-buffers in front of one
-/// FIFO ready queue — but the serializing lock is a plain PTLock with no
-/// delegation.  A getter that finds the lock busy walks away empty
-/// instead of handing its request to the holder; that difference is
-/// exactly what the dtlock-vs-ptlock comparison isolates (the paper's
-/// 4x), while serial_mutex-vs-ptlock isolates the add-buffers (the 12x).
+/// The paper's "w/o DTLock" ablation point: SyncScheduler's per-CPU
+/// SPSC add-buffers, drain rule and FIFO ready queue, but a plain PTLock
+/// with no delegation, and one task per get.  A getter that finds the
+/// lock busy walks away empty instead of handing its request to the
+/// holder; that is what the dtlock-vs-ptlock comparison measures (the
+/// paper's 4x), while serial_mutex-vs-ptlock isolates the add-buffers
+/// (the 12x).
 class PTLockScheduler final : public Scheduler {
  public:
   /// Traced variant emits SchedDrain per non-empty drain and
   /// SchedLockContended once per overflow episode that finds the lock
   /// busy — the "creator core fights for the lock" signal of fig10.
-  explicit PTLockScheduler(Topology topo,
+  explicit PTLockScheduler(const Topology& topo,
                            std::size_t spscCapacity = kPerCpuBufferCapacity,
                            Tracer* tracer = nullptr);
 

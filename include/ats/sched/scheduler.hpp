@@ -52,8 +52,8 @@ class Scheduler {
   /// The one way drains are traced, shared by every buffered scheduler
   /// so the event's semantics (caller's stream, payload = tasks moved,
   /// silent when nothing moved) cannot drift per call site.  Feed it
-  /// `drainInto`'s return value:
-  /// `emitDrain(cpu, addBuffers_.drainInto(queue_))`.
+  /// the drain's return value:
+  /// `emitDrain(cpu, addBuffers_.drainBurstInto(queue_))`.
   void emitDrain(std::size_t cpu, std::size_t drained) {
     if (tracer_ != nullptr && drained != 0)
       tracer_->emit(cpu, TraceEvent::SchedDrain, drained);

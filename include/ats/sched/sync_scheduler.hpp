@@ -16,22 +16,24 @@ namespace ats {
 ///
 ///   * addReadyTask: push into the caller CPU's own SPSC buffer — no
 ///     shared-lock traffic at all on the common path.  When the buffer is
-///     full, the caller takes the DTLock itself, drains the add-buffers
+///     full, the caller takes the DTLock itself, drains every add-buffer
 ///     into the queue, and serves any queued delegation requests
 ///     while it is there (the overflow "help-drain" protocol).
 ///   * getReadyTask: pop the caller slot's stash; only when it is empty,
 ///     `lockOrDelegate`.  Usually some other thread already holds the
 ///     lock and simply hands tasks back; the waiter never owns the lock,
 ///     never drains, never touches the queue's cache lines.  Whichever
-///     thread does hold the lock drains the add-buffers, takes its own
-///     share, and serves the delegation queue before releasing.
+///     thread does hold the lock drains at most `kDrainBurst` tasks
+///     from the add-buffers (AddBufferSet), takes its own share, and
+///     serves the delegation queue before releasing.
 ///
 /// Serving is the §8 flat-combining batch: the holder snapshots a run of
 /// queued requests with one `popWaiters` pass, pulls the batch's tasks
 /// with one `popN` call, and publishes each answer with its own release
 /// store (`serveBatch`).  A queue that cannot give every waiter one task
-/// is topped up with a bounded drain; the unbounded refill runs at most
-/// once per lock hold.
+/// is topped up with one more burst.  The add-buffers and their drain
+/// rule are PTLockScheduler's too: the two designs differ in the lock
+/// protocol and in the multi-task shares below.
 ///
 /// Multi-task hand-off: every get, delegated or the holder's own, takes
 /// `share = clamp(ready / slots, 1, kMaxShare)` tasks, where `ready` is
@@ -43,11 +45,12 @@ namespace ats {
 /// hand-off").
 class SyncScheduler final : public Scheduler {
  public:
-  /// Most waiters a single combining batch answers.  Also bounds the
-  /// add-buffer top-up drains, and sizes the serve loop's stack arrays —
-  /// more waiters than this simply take another batch within the same
-  /// lock hold.
+  /// Most waiters a single combining batch answers, and the size of the
+  /// serve loop's stack arrays — more waiters than this simply take
+  /// another batch within the same lock hold.
   static constexpr std::size_t kServeBurst = 16;
+  /// So a top-up burst covers a whole batch unless the rings run dry.
+  static_assert(kServeBurst <= AddBufferSet::kDrainBurst);
 
   /// Most tasks one get takes: a DTLock answer plus the extras that fill
   /// the rest of its result line.
@@ -59,7 +62,7 @@ class SyncScheduler final : public Scheduler {
   ///
   /// Traced variant emits SchedDrain per non-empty add-buffer drain and
   /// one SchedServe per serve batch with the hand-off count as payload.
-  explicit SyncScheduler(Topology topo,
+  explicit SyncScheduler(const Topology& topo,
                          std::size_t spscCapacity = kPerCpuBufferCapacity,
                          Tracer* tracer = nullptr);
 
@@ -80,7 +83,6 @@ class SyncScheduler final : public Scheduler {
   /// `cpu` is the holder's slot (trace emissions go into its stream).
   void serveWaiters(std::size_t cpu);
 
-  Topology topo_;
   DTLock lock_;
   ReadyQueue queue_;
   AddBufferSet addBuffers_;

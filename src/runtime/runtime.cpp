@@ -109,7 +109,6 @@ Runtime::Runtime(RuntimeConfig config) : config_(std::move(config)) {
   // in the destructor.
   if (config_.tracer != nullptr)
     installFatalHook(&dumpTracerOnFatal, this);
-  spawnerThread_ = std::this_thread::get_id();
   // §4: descriptors (and heap-spilled closures) come from the
   // configured allocator — the thread-caching pool for the optimized
   // runtime, plain operator new for the "w/o jemalloc" ablation.
@@ -261,7 +260,7 @@ Task* Runtime::executeTask(Task* task, std::size_t cpu) {
     // will observe the token themselves) and drops the execution
     // reference — the graph DRAINS under cancellation, it is never
     // abandoned with descriptors in flight.
-    graph_.noteSkip();
+    bumpOwned(slots_[cpu].skipped, +1);
     if (tracer != nullptr)
       tracer->emit(cpu, TraceEvent::TaskSkipped,
                    reinterpret_cast<std::uintptr_t>(task));
@@ -290,6 +289,7 @@ Task* Runtime::executeTask(Task* task, std::size_t cpu) {
     // ordering note).  TaskFailed closes the busy interval TaskStart
     // opened; its payload names the firing failpoint (0 = an organic
     // exception from the body).
+    bumpOwned(slots_[cpu].failed, +1);
     if (graph_.poison(std::move(error)) && tracer != nullptr)
       tracer->emit(cpu, TraceEvent::GraphCancelled, 0);
     if (tracer != nullptr)
@@ -415,10 +415,7 @@ std::uint64_t Runtime::tasksInFlight() const {
   // would let a task spawned and retired between the two passes count
   // as retired but not spawned, and hide a live sibling.
   const std::uint64_t retired = tasksRetired();
-  std::int64_t sum = 0;
-  for (std::size_t i = 0; i <= config_.topo.numCpus; ++i)
-    sum += slots_[i].spawned.load(std::memory_order_relaxed);
-  const auto spawned = static_cast<std::uint64_t>(sum);
+  const std::uint64_t spawned = sumSlots(&SlotCounters::spawned);
   return spawned > retired ? spawned - retired : 0;
 }
 
@@ -447,28 +444,26 @@ std::string Runtime::watchdogReport() const {
       "liveDescriptors=%zu\n",
       static_cast<unsigned long long>(tasksInFlight()),
       static_cast<unsigned long long>(tasksRetired()),
-      static_cast<unsigned long long>(graph_.tasksFailed()),
-      static_cast<unsigned long long>(graph_.tasksSkipped()),
+      static_cast<unsigned long long>(tasksFailed()),
+      static_cast<unsigned long long>(tasksSkipped()),
       graph_.cancelled() ? 1 : 0, liveDescriptors());
   out += line;
   // One line per slot (the last is the spawner's): spawned and retired
   // show where work entered and left, the descriptor delta where it is
-  // still held, and kept how many of the slot's tasks bypassed the
-  // scheduler as immediate successors.
+  // still held, kept how many of the slot's tasks bypassed the scheduler
+  // as immediate successors, and failed and skipped which slots ran the
+  // graph's failures and its cancelled drain.
+  auto read = [](const std::atomic<std::int64_t>& counter) {
+    return static_cast<long long>(counter.load(std::memory_order_relaxed));
+  };
   for (std::size_t i = 0; i <= config_.topo.numCpus; ++i) {
     const SlotCounters& slot = slots_[i];
     std::snprintf(line, sizeof(line),
                   "  slot %zu: spawned=%lld retired=%lld descriptors=%lld "
-                  "kept=%lld\n",
-                  i,
-                  static_cast<long long>(
-                      slot.spawned.load(std::memory_order_relaxed)),
-                  static_cast<long long>(
-                      slot.retired.load(std::memory_order_relaxed)),
-                  static_cast<long long>(
-                      slot.descriptors.load(std::memory_order_relaxed)),
-                  static_cast<long long>(
-                      slot.kept.load(std::memory_order_relaxed)));
+                  "kept=%lld failed=%lld skipped=%lld\n",
+                  i, read(slot.spawned), read(slot.retired),
+                  read(slot.descriptors), read(slot.kept), read(slot.failed),
+                  read(slot.skipped));
     out += line;
   }
   return out;

@@ -8,14 +8,8 @@
 
 namespace ats {
 
-namespace {
-/// Cap on the first drain in getReadyTask, bounding work done per lock
-/// hold.
-constexpr std::size_t kDrainBurst = 64;
-}  // namespace
-
-PTLockScheduler::PTLockScheduler(Topology topo, std::size_t spscCapacity,
-                                 Tracer* tracer)
+PTLockScheduler::PTLockScheduler(const Topology& topo,
+                                 std::size_t spscCapacity, Tracer* tracer)
     // Waiting-array slots must cover every thread that can contend; size
     // for at least the topology and leave headroom for oversubscription.
     : Scheduler(tracer),
@@ -37,9 +31,9 @@ void PTLockScheduler::addReadyTask(Task* task, std::size_t cpu) {
     // fires once per retry poll while the ring stays full.
     ATS_FAILPOINT(addbuf_overflow);
     if (lock_.tryLock()) {
-      // Unbounded, so our full ring is empty before our task goes in
+      // Every ring, so our full one is empty before our task goes in
       // behind it.
-      emitDrain(cpu, addBuffers_.drainInto(queue_));
+      emitDrain(cpu, addBuffers_.drainAllInto(queue_));
       queue_.push(task);
       lock_.unlock();
       return;
@@ -63,14 +57,10 @@ Task* PTLockScheduler::getReadyTask(std::size_t cpu) {
   // contention event here: get-side lock misses happen at poll frequency
   // and the starvation they cause is already visible as WorkerIdle*.
   if (!lock_.tryLock()) return nullptr;
-  // Bounded drain first; the unbounded pass runs only when the queue is
-  // still dry, so no published add is ever stranded.
-  emitDrain(cpu, addBuffers_.drainInto(queue_, kDrainBurst));
+  // The one drain rule (AddBufferSet): one burst per hold.  A miss after
+  // it means every ring was empty when the drain reached it.
+  emitDrain(cpu, addBuffers_.drainBurstInto(queue_));
   Task* task = queue_.pop();
-  if (task == nullptr) {
-    emitDrain(cpu, addBuffers_.drainInto(queue_));
-    task = queue_.pop();
-  }
   lock_.unlock();
   return task;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <utility>
 
 #include "common/failpoint.hpp"
 #include "instr/tracer.hpp"
@@ -18,13 +17,12 @@ std::size_t shareOf(std::size_t ready, std::size_t slots) {
 }
 }  // namespace
 
-SyncScheduler::SyncScheduler(Topology topo, std::size_t spscCapacity,
+SyncScheduler::SyncScheduler(const Topology& topo, std::size_t spscCapacity,
                              Tracer* tracer)
     : Scheduler(tracer),
-      topo_(std::move(topo)),
-      lock_(std::max<std::size_t>(64, topo_.slotCount() * 2),
-            std::max<std::size_t>(64, topo_.slotCount())),
-      addBuffers_(topo_, spscCapacity),
+      lock_(std::max<std::size_t>(64, topo.slotCount() * 2),
+            std::max<std::size_t>(64, topo.slotCount())),
+      addBuffers_(topo, spscCapacity),
       stashes_(std::make_unique<Stash[]>(addBuffers_.numCpus())) {}
 
 void SyncScheduler::addReadyTask(Task* task, std::size_t cpu) {
@@ -41,9 +39,9 @@ void SyncScheduler::addReadyTask(Task* task, std::size_t cpu) {
   // throw here would lose the task (see DESIGN.md "Failure domains").
   ATS_FAILPOINT(addbuf_overflow);
   lock_.lock();
-  // Unbounded: the full ring is ours and must be emptied before our
-  // task goes in behind it, or this producer's adds would reorder.
-  emitDrain(cpu, addBuffers_.drainInto(queue_));
+  // Every ring: the full one is ours and must be empty before our task
+  // goes in behind it.
+  emitDrain(cpu, addBuffers_.drainAllInto(queue_));
   queue_.push(task);
   serveWaiters(cpu);
   lock_.unlock();
@@ -66,10 +64,9 @@ Task* SyncScheduler::getReadyTask(std::size_t cpu) {
       stash.tasks[stash.count++] = reinterpret_cast<Task*>(items[k]);
     return reinterpret_cast<Task*>(items[0]);
   }
-  // A bounded drain first, so one hold does not turn into a drain loop;
-  // only when the queue is dry after that does the unbounded pass run.
-  emitDrain(cpu, addBuffers_.drainInto(queue_, kServeBurst));
-  if (queue_.size() == 0) emitDrain(cpu, addBuffers_.drainInto(queue_));
+  // One burst (AddBufferSet's drain rule): a queue still dry after it
+  // means every ring was empty when the drain reached it.
+  emitDrain(cpu, addBuffers_.drainBurstInto(queue_));
   // The holder's own share, by the same rule a waiter's is dealt: the
   // first task is returned, the extras go to the stash in one bulk pull.
   // An empty queue gives share 1, so the pull then asks for nothing.
@@ -90,25 +87,20 @@ void SyncScheduler::serveWaiters(std::size_t cpu) {
   // Each thread has at most one outstanding request, but a served waiter
   // can requeue while we still hold the lock; cap the combining loop so
   // the holder's own latency stays bounded.
-  const std::size_t maxServes = 4 * topo_.numCpus + 4;
+  const std::size_t maxServes = 4 * addBuffers_.numCpus();
   std::uint64_t waiterCpus[kServeBurst];
   std::size_t counts[kServeBurst];
   Task* tasks[kServeBurst * kMaxShare];
   std::uintptr_t items[kServeBurst * kMaxShare];
-  bool refilled = false;
   std::size_t served = 0;
   while (served < maxServes) {
     const std::size_t want = std::min(kServeBurst, maxServes - served);
     const std::size_t n = lock_.popWaiters(waiterCpus, want);
     if (n == 0) break;
-    // Fewer tasks than waiters: top the queue up with a bounded drain;
-    // still short: one unbounded refill per lock hold.
+    // Fewer tasks than waiters: top the queue up with one burst, which
+    // covers the batch unless the rings ran dry.
     if (queue_.size() < n)
-      emitDrain(cpu, addBuffers_.drainInto(queue_, kServeBurst));
-    if (queue_.size() < n && !refilled) {
-      refilled = true;
-      emitDrain(cpu, addBuffers_.drainInto(queue_));
-    }
+      emitDrain(cpu, addBuffers_.drainBurstInto(queue_));
     // One bulk pull for the whole batch, `share` tasks per waiter.
     // Waiters past the pull are answered 0 ("nothing ready").
     const std::size_t share = shareOf(queue_.size(), addBuffers_.numCpus());
@@ -129,7 +121,7 @@ void SyncScheduler::serveWaiters(std::size_t cpu) {
     if (tracer_ != nullptr && got != 0)
       tracer_->emit(cpu, TraceEvent::SchedServe, got);
     served += n;
-    if (got < n) break;  // queue dry even after the one refill
+    if (got < n) break;  // the rings ran dry
   }
 }
 

@@ -304,7 +304,11 @@ TEST(WatchdogTest, FiresOnStallThenStaysQuietWhenIdle) {
   config.watchdogTimeoutMs = 50;
   config.watchdogOnStall = [](void* ctx, const char* report) {
     auto* log = static_cast<StallLog*>(ctx);
-    if (std::string(report).find("inFlight=") != std::string::npos)
+    // The summary line, and each slot's line ending in its own failure
+    // and skip counts.
+    const std::string text(report);
+    if (text.find("inFlight=") != std::string::npos &&
+        text.find("failed=0 skipped=0\n") != std::string::npos)
       log->reportSane.store(true, std::memory_order_relaxed);
     log->fired.fetch_add(1, std::memory_order_relaxed);
   };

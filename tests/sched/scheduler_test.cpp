@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -83,6 +84,18 @@ TEST_P(EverySchedulerTest, SingleThreadFifoRoundTrip) {
 /// every enqueued task pointer must come back exactly once.
 constexpr int kConsumers = 3;
 
+/// When the conservation loops stop polling.  A lost task then fails the
+/// count assertion after the loop, which says how many came back,
+/// instead of spinning until ctest's timeout.
+class Deadline {
+ public:
+  bool passed() const { return std::chrono::steady_clock::now() >= at_; }
+
+ private:
+  std::chrono::steady_clock::time_point at_ =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+};
+
 void floodConservesExactlyOnce(Scheduler& sched) {
   constexpr std::size_t kTasks = 20000;
   std::vector<Task> pool(kTasks);
@@ -90,6 +103,7 @@ void floodConservesExactlyOnce(Scheduler& sched) {
   std::atomic<std::size_t> retrieved{0};
   std::vector<std::vector<Task*>> got(kConsumers);
 
+  const Deadline deadline;
   std::vector<std::thread> threads;
   threads.emplace_back([&] {
     for (auto& t : pool) sched.addReadyTask(&t, 0);
@@ -97,7 +111,8 @@ void floodConservesExactlyOnce(Scheduler& sched) {
   for (int c = 0; c < kConsumers; ++c) {
     threads.emplace_back([&, c] {
       const std::size_t cpu = static_cast<std::size_t>(c) + 1;
-      while (retrieved.load(std::memory_order_relaxed) < kTasks) {
+      while (retrieved.load(std::memory_order_relaxed) < kTasks &&
+             !deadline.passed()) {
         Task* t = sched.getReadyTask(cpu);
         if (t != nullptr) {
           got[static_cast<std::size_t>(c)].push_back(t);
@@ -142,6 +157,59 @@ TEST_P(TinyBufferTracedFloodTest, ConservesExactlyOnceAndTracesDrains) {
   for (const TraceRecord& r : tracer.collect())
     if (r.event == TraceEvent::SchedDrain) ++drains;
   EXPECT_GE(drains, 1u);
+}
+
+/// The one drain rule, on both buffered designs: a lock hold's drain
+/// moves at most `AddBufferSet::kDrainBurst` tasks, and what it leaves in
+/// the rings comes back through later holds, none stranded.  The tasks
+/// go round-robin over four worker slots and the reserved spawner slot,
+/// so the first burst stops partway through the rings.
+class DrainRuleTest : public ::testing::TestWithParam<std::string> {};
+
+INSTANTIATE_TEST_SUITE_P(Buffered, DrainRuleTest,
+                         ::testing::Values("ptlock", "sync_dtlock"));
+
+TEST_P(DrainRuleTest, EachHoldDrainsAtMostOneBurstAndStrandsNothing) {
+  constexpr std::size_t kWorkers = 4;
+  constexpr std::size_t kBurst = AddBufferSet::kDrainBurst;
+  constexpr std::size_t kTasks = 2 * kBurst + 3;
+  Topology topo = testTopo(kWorkers);
+  topo.reservedSlots = 1;  // slot kWorkers: the spawner, as in the Runtime
+  Tracer tracer(kWorkers, 1u << 10);
+  std::unique_ptr<Scheduler> sched;
+  if (GetParam() == "ptlock")
+    sched = std::make_unique<PTLockScheduler>(topo, kPerCpuBufferCapacity,
+                                              &tracer);
+  else
+    sched = std::make_unique<SyncScheduler>(topo, kPerCpuBufferCapacity,
+                                            &tracer);
+  std::vector<Task> pool(kTasks);
+  for (std::size_t i = 0; i < kTasks; ++i)
+    sched->addReadyTask(&pool[i], i % (kWorkers + 1));
+
+  auto drains = [&] {
+    std::vector<std::uint64_t> payloads;
+    for (const TraceRecord& r : tracer.collect())
+      if (r.event == TraceEvent::SchedDrain) payloads.push_back(r.payload);
+    return payloads;
+  };
+  std::vector<Task*> got;
+  got.push_back(sched->getReadyTask(0));
+  ASSERT_NE(got.back(), nullptr);
+  EXPECT_EQ(drains(), std::vector<std::uint64_t>{kBurst})
+      << "the first hold drains exactly one burst";
+
+  while (Task* t = sched->getReadyTask(0)) got.push_back(t);
+  ASSERT_EQ(got.size(), kTasks) << "tasks were stranded in the rings";
+  std::sort(got.begin(), got.end());
+  for (std::size_t i = 0; i < kTasks; ++i)
+    ASSERT_EQ(got[i], &pool[i]) << "a task was lost or handed out twice";
+  std::uint64_t drained = 0;
+  for (const std::uint64_t payload : drains()) {
+    EXPECT_LE(payload, kBurst);
+    drained += payload;
+  }
+  EXPECT_EQ(drained, kTasks);
 }
 
 TEST(SyncSchedulerTest, OverflowDrainLosesNothingAndKeepsOrder) {
@@ -233,12 +301,14 @@ TEST(SyncSchedulerTest, DelegationQueueDeeperThanOneBatchConservesExactlyOnce) {
   std::atomic<bool> drain{false};
   std::atomic<std::size_t> retrieved{0};
   std::vector<std::vector<Task*>> got(kGetters);
+  const Deadline deadline;
   std::vector<std::thread> threads;
   for (std::size_t c = 0; c < kGetters; ++c) {
     threads.emplace_back([&, c] {
       while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
       bool first = true;
-      while (retrieved.load(std::memory_order_relaxed) < kTasks) {
+      while (retrieved.load(std::memory_order_relaxed) < kTasks &&
+             !deadline.passed()) {
         Task* t = sched.getReadyTask(c);
         if (t != nullptr) {
           got[c].push_back(t);
@@ -337,8 +407,10 @@ TEST(SyncSchedulerTest, NestedAddersAndStashedSharesConserveExactlyOnce) {
 
   std::atomic<std::size_t> retrieved{0};
   std::vector<std::vector<Task*>> got(kWorkers + 1);
+  const Deadline deadline;
   auto run = [&](std::size_t slot) {
-    while (retrieved.load(std::memory_order_relaxed) < kTotal) {
+    while (retrieved.load(std::memory_order_relaxed) < kTotal &&
+           !deadline.passed()) {
       Task* t = sched.getReadyTask(slot);
       if (t == nullptr) {
         std::this_thread::yield();
@@ -376,29 +448,34 @@ TEST(SyncSchedulerTest, NestedAddersAndStashedSharesConserveExactlyOnce) {
 }
 
 TEST(AddBufferSetTest, CappedDrainStopsAtTheCapInSlotOrder) {
+  static_assert(AddBufferSet::kDrainBurst == 16,
+                "the ring loads below are sized for a 16-task burst");
   Topology topo = testTopo(4);
   topo.reservedSlots = 1;  // slot 4: the Runtime's spawner
-  AddBufferSet buffers(topo, 16);
+  AddBufferSet buffers(topo, 32);
   EXPECT_EQ(buffers.numCpus(), 5u);
 
+  // Ten tasks on slot 0, ten on slot 2, three on the reserved slot 4.
   ReadyQueue queue;
-  std::vector<Task> pool(5);
-  ASSERT_TRUE(buffers.tryPush(&pool[0], 0));
-  ASSERT_TRUE(buffers.tryPush(&pool[1], 1));
-  ASSERT_TRUE(buffers.tryPush(&pool[2], 4));
-  ASSERT_TRUE(buffers.tryPush(&pool[3], 2));
-  ASSERT_TRUE(buffers.tryPush(&pool[4], 3));
+  std::vector<Task> pool(43);
+  std::size_t next = 0;
+  for (const std::size_t slot : {0, 2, 4})
+    for (std::size_t k = 0; k < (slot == 4 ? 3 : 10); ++k)
+      ASSERT_TRUE(buffers.tryPush(&pool[next++], slot));
 
-  // A capped drain takes exactly the cap, rings in slot order, and
-  // leaves the rest published; the uncapped drain reaches every ring,
-  // the reserved slot's included.
-  EXPECT_EQ(buffers.drainInto(queue, 2), 2u);
-  EXPECT_EQ(buffers.drainInto(queue, 1), 1u);
-  EXPECT_EQ(buffers.drainInto(queue), 2u);
-  EXPECT_EQ(buffers.drainInto(queue), 0u);
+  // A burst takes exactly the cap, rings in slot order, stopping partway
+  // through slot 2's ring; the next takes the rest, the reserved slot's
+  // included.
+  EXPECT_EQ(buffers.drainBurstInto(queue), 16u);
+  EXPECT_EQ(buffers.drainBurstInto(queue), 7u);
+  EXPECT_EQ(buffers.drainBurstInto(queue), 0u);
+  // The overflow drain is not capped: it empties every ring at once.
+  for (const std::size_t slot : {1, 3})
+    for (std::size_t k = 0; k < 10; ++k)
+      ASSERT_TRUE(buffers.tryPush(&pool[next++], slot));
+  EXPECT_EQ(buffers.drainAllInto(queue), 20u);
 
-  for (Task* expected : {&pool[0], &pool[1], &pool[3], &pool[4], &pool[2]})
-    EXPECT_EQ(queue.pop(), expected);
+  for (Task& expected : pool) EXPECT_EQ(queue.pop(), &expected);
   EXPECT_EQ(queue.pop(), nullptr);
 }
 
