@@ -21,6 +21,11 @@ static_assert(kAccessNodeBytes % alignof(std::max_align_t) == 0,
 /// The dependency-facing part of a task descriptor.  `runtime/task.hpp`'s
 /// Task derives from this; the deps layer only ever sees DepTask*, which
 /// keeps it below the runtime layer in the include order.
+///
+/// Task's second base, after the runtime's fields: in a Task the
+/// counters below sit at bytes 80-103, inside the descriptor's two-line
+/// head, and the access slots start at byte 112.  Keep every field a
+/// 0-access task touches ahead of `accessNodes`.
 struct DepTask {
   /// Unresolved preconditions + one creation guard.  Reads contribute one
   /// precondition (their chain edge); writes contribute two (chain edge +

@@ -34,6 +34,14 @@ class PoolThreadCache;
 /// `deallocate` learns the class from it, and no allocation writes it.
 /// Requests too large for the class table fall through to operator new.
 ///
+/// Chunks are carved kChunkAlignment-aligned, so every block of a class
+/// that is a multiple of 128 bytes starts on a 128-byte line pair; a task
+/// descriptor's header and two-line head then fill exactly that pair.
+/// Each magazine pop prefetches the first two lines of the block
+/// kPrefetchAhead pops later for write, so they have arrived by the time
+/// the caller gets that block (DESIGN.md, "Two-line descriptors, fetched
+/// ahead").
+///
 /// A thread's cache is created on its first pool call (a free counts)
 /// and deleted at thread exit after flushing every magazine to the
 /// depots; a free that arrives later on that thread (another TLS
@@ -50,6 +58,9 @@ class PoolAllocator final : public Allocator {
   /// Per-block bookkeeping prefix (size class + canary + padding).
   static constexpr std::size_t kHeaderBytes = 16;
 
+  /// Every chunk starts on a line pair (two 64-byte lines).
+  static constexpr std::size_t kChunkAlignment = 128;
+
   /// Size classes run 32B..8KiB in ~1.5x steps; requests over
   /// kMaxPooledSize fall through to operator new.
   static constexpr std::size_t kNumClasses = 17;
@@ -61,6 +72,13 @@ class PoolAllocator final : public Allocator {
   static constexpr std::size_t kMagazineCapacity = 64;
   static constexpr std::size_t kRefillBatch = 32;
   static constexpr std::size_t kFlushBatch = 32;
+
+  /// How many pops ahead a magazine pop prefetches.  One pop serves one
+  /// spawn (60-80 ns on a 4-core Xeon VM), while a line another core
+  /// wrote takes 65-100 ns to arrive there, more in some minutes than in
+  /// others; one pop ahead hid it only in the fast minutes.
+  static constexpr std::size_t kPrefetchAhead = 4;
+  static_assert(kPrefetchAhead >= 1 && kPrefetchAhead <= kRefillBatch);
 
   static constexpr unsigned char kPoisonByte = 0xDE;
 

@@ -42,7 +42,9 @@ namespace ats {
 /// the slot's stash, which that slot's next gets pop before touching the
 /// lock.  Fewer than two queued tasks per slot deals one task per get.
 /// A stashed task runs only on its own slot (DESIGN.md, "Multi-task
-/// hand-off").
+/// hand-off").  Stashing a task prefetches its kTaskHeadBytes head, so
+/// its lines arrive while the returned task runs (DESIGN.md, "Two-line
+/// descriptors, fetched ahead").
 class SyncScheduler final : public Scheduler {
  public:
   /// Most waiters a single combining batch answers, and the size of the

@@ -5,6 +5,7 @@
 #include <type_traits>
 
 #include "common/failpoint.hpp"
+#include "common/prefetch.hpp"
 
 namespace ats {
 
@@ -102,10 +103,25 @@ void WaitFreeAsmDeps::registerTask(DepTask* task, const Access* accesses,
   // guard drop below: one fetch_sub instead of one per resolution.
   std::int32_t resolved = 0;
 
+  // Every access's RMWs land in its object's last write node, which the
+  // worker releasing that write may hold.  Each RMW orders the next, so
+  // fetched one by one those misses add up; start them all first.  Only
+  // a hint: lastWrite is this (serialized) path's own field, and a
+  // prefetch never faults.
+  ObjectAsm* objects[kMaxAccessesPerTask];
+  for (std::size_t i = 0; i < count; ++i) {
+    objects[i] = &objects_.lookupOrCreate(accesses[i].object);
+    if (const Node* prev = objects[i]->lastWrite) {
+      const char* bytes = reinterpret_cast<const char*>(prev);
+      prefetchForWrite(bytes);
+      prefetchForWrite(bytes + sizeof(Node) - 1);
+    }
+  }
+
   for (std::size_t i = 0; i < count; ++i) {
     Node* node = ::new (task->accessNodes[i])
         Node{.task = task, .read = accesses[i].isRead()};
-    ObjectAsm& obj = objects_.lookupOrCreate(accesses[i].object);
+    ObjectAsm& obj = *objects[i];
     if (node->read) {
       resolved += registerRead(obj, node);
     } else {

@@ -9,6 +9,7 @@
 #include <new>
 
 #include "common/failpoint.hpp"
+#include "common/prefetch.hpp"
 
 namespace ats {
 
@@ -35,6 +36,14 @@ constexpr auto kClassLut = [] {
   }
   return lut;
 }();
+
+/// Starts fetching a block's first 128-byte line pair (header plus a
+/// descriptor's head) for the thread that is about to write it.
+void prefetchHeadForWrite(void* block) {
+  char* head = static_cast<char*>(block);
+  prefetchForWrite(head);
+  prefetchForWrite(head + 64);
+}
 
 std::size_t classIndexFor(std::size_t need) {
   assert(need <= PoolAllocator::kMaxBlockSize);
@@ -154,8 +163,17 @@ void* PoolAllocator::allocate(std::size_t size) {
     if (mag.count == 0) {
       takeFromDepot(cls, mag.slots, kRefillBatch);
       mag.count = kRefillBatch;
+      // A fresh batch: start the blocks the next pops return, which the
+      // steady-state prefetch below has not reached.
+      for (std::size_t k = 2; k <= kPrefetchAhead; ++k)
+        prefetchHeadForWrite(mag.slots[kRefillBatch - k]);
     }
     block = mag.slots[--mag.count];
+    // The block kPrefetchAhead pops from now was last written on
+    // whichever core freed it: fetch its header and head lines for write
+    // now, so the caller's stores into them do not wait on that core.
+    if (mag.count >= kPrefetchAhead)
+      prefetchHeadForWrite(mag.slots[mag.count - kPrefetchAhead]);
   } else {
     takeFromDepot(cls, &block, 1);
   }
@@ -239,10 +257,13 @@ void PoolAllocator::carveChunk(Depot& depot, std::size_t cls) {
   if (carved > depot.free.capacity())
     depot.free.reserve(std::max(carved, 2 * depot.free.capacity()));
 
-  // operator new returns max_align_t-aligned storage and the class
-  // sizes are multiples of 16, so every carved block (and its +16 user
-  // pointer) keeps the kAlignment guarantee.
-  char* chunk = static_cast<char*>(::operator new(bytes));
+  // Chunks start on a 128-byte line pair, so every block of a class that
+  // is a multiple of 128 does too: a descriptor's header and head are
+  // then exactly two lines.  The class sizes are multiples of 16, so
+  // every carved block (and its +16 user pointer) keeps the kAlignment
+  // guarantee.  Chunks are never freed, so no aligned delete pairs this.
+  char* chunk = static_cast<char*>(
+      ::operator new(bytes, std::align_val_t{kChunkAlignment}));
   {
     std::lock_guard<SpinLock> guard(chunkLock_);
     chunks_.push_back(chunk);

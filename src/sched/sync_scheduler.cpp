@@ -5,7 +5,9 @@
 #include <cstdint>
 
 #include "common/failpoint.hpp"
+#include "common/prefetch.hpp"
 #include "instr/tracer.hpp"
+#include "runtime/task.hpp"
 
 namespace ats {
 
@@ -14,6 +16,15 @@ namespace {
 std::size_t shareOf(std::size_t ready, std::size_t slots) {
   return std::clamp<std::size_t>(ready / slots, 1,
                                  SyncScheduler::kMaxShare);
+}
+
+/// Starts fetching a stashed task's head lines: they were last written by
+/// the core that spawned or readied it, and arrive while the task this
+/// get returns runs.
+void prefetchHead(const Task* task) {
+  const char* head = reinterpret_cast<const char*>(task);
+  for (std::size_t offset = 0; offset < kTaskHeadBytes; offset += 64)
+    prefetchForRead(head + offset);
 }
 }  // namespace
 
@@ -60,8 +71,11 @@ Task* SyncScheduler::getReadyTask(std::size_t cpu) {
     // stash.  Copied out here, before this slot can publish the next
     // request that would let a holder rewrite them.
     if (n == 0) return nullptr;
-    for (std::size_t k = 1; k < n; ++k)
-      stash.tasks[stash.count++] = reinterpret_cast<Task*>(items[k]);
+    for (std::size_t k = 1; k < n; ++k) {
+      Task* extra = reinterpret_cast<Task*>(items[k]);
+      prefetchHead(extra);
+      stash.tasks[stash.count++] = extra;
+    }
     return reinterpret_cast<Task*>(items[0]);
   }
   // One burst (AddBufferSet's drain rule): a queue still dry after it
@@ -74,6 +88,7 @@ Task* SyncScheduler::getReadyTask(std::size_t cpu) {
   Task* task = queue_.pop();
   stash.count =
       static_cast<std::uint8_t>(queue_.popN(stash.tasks, share - 1));
+  for (std::size_t k = 0; k < stash.count; ++k) prefetchHead(stash.tasks[k]);
   serveWaiters(cpu);
   lock_.unlock();
   return task;

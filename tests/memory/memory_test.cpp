@@ -80,6 +80,29 @@ TEST(PoolAllocatorTest, AlignmentAndWritabilityAcrossClassesAndLargePath) {
   }
 }
 
+// A chunk starts on a 128-byte line pair, so every block of a class that
+// is a multiple of 128 does too.  2048 live blocks per class cannot fit in
+// fewer than four 64 KiB chunks of any of these classes.
+TEST(PoolAllocatorTest, LinePairClassesStartEveryBlockOnALinePair) {
+  PoolAllocator& pool = PoolAllocator::instance();
+  constexpr std::size_t kBlocks = 2048;
+  for (const std::size_t block : {128u, 256u, 512u, 768u}) {
+    const std::size_t size = block - PoolAllocator::kHeaderBytes;
+    ASSERT_EQ(PoolAllocator::blockSizeFor(size), block);
+    std::vector<void*> live(kBlocks);
+    std::size_t offLine = 0;
+    for (void*& p : live) {
+      p = pool.allocate(size);
+      const auto start =
+          reinterpret_cast<std::uintptr_t>(p) - PoolAllocator::kHeaderBytes;
+      offLine += start % PoolAllocator::kChunkAlignment != 0;
+    }
+    EXPECT_EQ(offLine, 0u) << "of " << kBlocks << " blocks of the " << block
+                           << "-byte class";
+    for (void* p : live) pool.deallocate(p, size);
+  }
+}
+
 TEST(PoolAllocatorTest, MagazineRefillsInBatchesAndRecyclesLifo) {
   onFreshThread([] {
     PoolAllocator& pool = PoolAllocator::instance();

@@ -8,6 +8,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "deps/fine_grained_locks.hpp"
@@ -543,6 +544,43 @@ TEST(RuntimeTest, SchedulerAndDepsMatchConfig) {
 
   Runtime rtOpt(optimizedConfig(makeTopology(MachinePreset::Host, 2)));
   EXPECT_NE(dynamic_cast<WaitFreeAsmDeps*>(&rtOpt.deps()), nullptr);
+}
+
+// Every field a 0-access task's spawn, run and reclaim touch lies in the
+// descriptor's first kTaskHeadBytes, ahead of the access slots; with the
+// pool's 16-byte header that head is one 128-byte line pair.  Measured on
+// an object: base order is an ABI property, and offsetof on the
+// non-standard-layout Task is not allowed.
+TEST(TaskLayoutTest, ZeroAccessFieldsLieInTheTwoLineHead) {
+  Task task;
+  const auto* start = reinterpret_cast<const unsigned char*>(&task);
+  auto span = [start](const auto& field) {
+    const auto* at = reinterpret_cast<const unsigned char*>(&field);
+    return std::pair<std::size_t, std::size_t>(at - start,
+                                               at - start + sizeof field);
+  };
+  const std::pair<const char*, std::pair<std::size_t, std::size_t>>
+      fields[] = {
+          {"body", span(task.body)},
+          {"arg", span(task.arg)},
+          {"closureBuf", span(task.closureBuf)},
+          {"closureDestroy", span(task.closureDestroy)},
+          {"runtime", span(task.runtime)},
+          {"pendingDeps", span(task.pendingDeps)},
+          {"refCount", span(task.refCount)},
+          {"onLastRef", span(task.onLastRef)},
+          {"numAccesses", span(task.numAccesses)},
+      };
+  for (const auto& [name, bytes] : fields) {
+    EXPECT_LE(bytes.second, kTaskHeadBytes)
+        << name << " at bytes [" << bytes.first << ", " << bytes.second
+        << ")";
+  }
+  EXPECT_EQ(kTaskHeadBytes, 112u);
+  EXPECT_EQ(span(task.accessNodes).first, kTaskHeadBytes);
+  EXPECT_EQ(sizeof(Task), 752u);
+  EXPECT_EQ(PoolAllocator::kHeaderBytes + kTaskHeadBytes,
+            PoolAllocator::kChunkAlignment);
 }
 
 }  // namespace
