@@ -1,8 +1,11 @@
 #pragma once
 
+#include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 
+#include "common/failpoint.hpp"
 #include "deps/access.hpp"
 #include "deps/dep_task.hpp"
 
@@ -51,9 +54,24 @@ class DependencySystem {
   /// Register `task`'s declared accesses and arm its pendingDeps counter.
   /// Calls the ready sink (possibly before returning, possibly from
   /// another thread's release) exactly once, when the last precondition
-  /// resolves.  A task must not declare the same object twice.
-  virtual void registerTask(DepTask* task, const Access* accesses,
-                            std::size_t count, std::size_t cpu) = 0;
+  /// resolves.  A task must not declare the same object twice.  Throws
+  /// only before anything is written (the failpoint, or a lookup inside
+  /// registerAccesses), so the caller can reclaim the descriptor.
+  void registerTask(DepTask* task, const Access* accesses, std::size_t count,
+                    std::size_t cpu) {
+    ATS_FAILPOINT(deps_register);
+    assert(count <= kMaxAccessesPerTask);
+#ifndef NDEBUG
+    for (std::size_t i = 0; i < count; ++i)
+      for (std::size_t j = i + 1; j < count; ++j)
+        assert(accesses[i].object != accesses[j].object &&
+               "a task must not declare the same object twice");
+#endif
+    const Preconditions preconditions =
+        registerAccesses(task, accesses, count);
+    task->numAccesses = count;
+    finishRegistration(task, preconditions, cpu);
+  }
 
   /// Release every access of a completed task, resolving successor
   /// preconditions, and hand the LAST task this release readied back to
@@ -85,6 +103,20 @@ class DependencySystem {
   virtual void reset() = 0;
 
  protected:
+  /// What a registerAccesses armed in pendingDeps, creation guard
+  /// included, and how many of those preconditions it resolved itself.
+  struct Preconditions {
+    std::int32_t armed;
+    std::int32_t resolved;
+  };
+
+  /// Each system's part of registerTask: look every object up, and only
+  /// then arm pendingDeps (and any references of its own) and construct
+  /// and link one node per access in the task's slots.
+  virtual Preconditions registerAccesses(DepTask* task,
+                                         const Access* accesses,
+                                         std::size_t count) = 0;
+
   /// One precondition of `task` resolved by a release; on reaching zero
   /// the task becomes the release's `kept` one, and the task kept before
   /// it goes to the sink (Nanos6's displacement rule: the slot holds the
@@ -105,15 +137,15 @@ class DependencySystem {
     kept = task;
   }
 
-  /// Drop the creation guard plus the `resolved` preconditions that
-  /// registration handled itself, readying the task if that was
-  /// everything.  When registration resolved every precondition, no
-  /// other thread holds a reference, so the counter is not touched at
-  /// all.
-  void finishRegistration(DepTask* task, std::int32_t preconditions,
-                          std::int32_t resolved, std::size_t cpu) {
-    const std::int32_t drop = 1 + resolved;
-    if (drop == preconditions) {
+ private:
+  /// Drop the creation guard plus the preconditions that registration
+  /// resolved itself, readying the task if that was everything.  When
+  /// registration resolved every precondition, no other thread holds a
+  /// reference, so the counter is not touched at all.
+  void finishRegistration(DepTask* task, Preconditions preconditions,
+                          std::size_t cpu) {
+    const std::int32_t drop = 1 + preconditions.resolved;
+    if (drop == preconditions.armed) {
       sink_.ready(task, cpu);
     } else if (task->pendingDeps.fetch_sub(
                    drop, std::memory_order_acq_rel) == drop) {

@@ -24,12 +24,13 @@ class FineGrainedLocksDeps final : public DependencySystem {
   explicit FineGrainedLocksDeps(ReadySink sink)
       : DependencySystem(sink) {}
 
-  void registerTask(DepTask* task, const Access* accesses,
-                    std::size_t count, std::size_t cpu) override;
   DepTask* releaseKeepingLast(DepTask* task, std::size_t cpu) override;
   void reset() override;
 
  private:
+  Preconditions registerAccesses(DepTask* task, const Access* accesses,
+                                 std::size_t count) override;
+
   /// One registered access, constructed in its task's access slot at
   /// registration (layout in fine_grained_locks.cpp).
   struct Node;

@@ -20,12 +20,11 @@ namespace ats {
 namespace object_table_detail {
 
 /// Epoch values are handed out from one process-wide monotonic source,
-/// so an epoch identifies one table GENERATION uniquely across every
-/// table (and table instantiation type) that ever exists in the
-/// process.  A TLS cache entry stamped with a dead generation can
-/// therefore never be mistaken for a live one — not after a reset, not
-/// after a table is destroyed and a new one lands on the same heap
-/// address.
+/// so an epoch identifies one table uniquely across every table (and
+/// table instantiation type) that ever exists in the process.  A TLS
+/// cache entry stamped with a dead table's epoch can therefore never be
+/// mistaken for a live one, not even after a new table lands on the
+/// same heap address.
 inline std::atomic<std::uint64_t> gEpochSource{1};
 
 /// Fibonacci multiply-shift over the middle address bits (heap
@@ -89,31 +88,29 @@ inline ObjectTableCacheCounters objectTableThreadCacheCounters() {
 ///      re-registration of a known address (the apps layer re-registers
 ///      the same block addresses every iteration) hits here and touches
 ///      no shared mutable line at all — the spawn-side analogue of the
-///      SPSC cached-index trick.  `invalidateThreadCaches()` (called by
-///      the dependency systems' quiescent reset) bumps the epoch, which
-///      invalidates every thread's entries for this table at once.
-///   2. Lock-free probe: open-addressed segments probed with acquire
+///      SPSC cached-index trick.
+///   2. Lock-free find: open-addressed segments probed with acquire
 ///      loads — no RMW, no lock, for any address already in the table.
-///   3. CAS-claim insert: first touch of an address carves an Entry
-///      node (one cache line of its own) from the table's node chunks —
-///      spinlocked, but only this cold tier takes the lock — and
-///      publishes it with one CAS.  Losing a same-address race destroys
-///      the unpublished node and adopts the winner's — every caller
+///   3. Insert under the table's one lock: a missed find takes the
+///      SpinLock that guards the node chunks, probes again (a racing
+///      insert may have published the address meanwhile), allocates any
+///      missing segment, carves an Entry node (one cache line of its
+///      own) and publishes it with a release store, so every caller
 ///      pins exactly one Entry per address.
 ///
-/// Growth appends segments of doubling size instead of rehashing, so a
-/// published Entry* is STABLE for the table's lifetime — which is what
-/// makes tier 1 sound, and what the dependency systems already relied
-/// on (reset() clears entry fields at quiescence but keeps the
-/// allocations warm for reused addresses; FineGrainedLocksDeps stores
-/// entry pointers in access nodes).  Probe sequences are deterministic
-/// and slot occupancy is monotone (slots fill, never empty), so an
-/// empty slot proves the key is not later in that segment's window and
-/// a full window proves it can only be in a later segment.
+/// Growth appends segments of doubling size instead of rehashing, and
+/// nodes live until the table dies, so a published Entry* is STABLE for
+/// the table's lifetime.  That is what makes tier 1 sound, across the
+/// dependency systems' quiescent resets too (reset() clears entry
+/// fields but keeps the entries, so a pre-reset cached pair still names
+/// the right one), and FineGrainedLocksDeps stores entry pointers in
+/// access nodes.  Probe sequences are deterministic and slot occupancy
+/// is monotone (slots fill, never empty), so an empty slot proves the
+/// key is not later in that segment's window and a full window proves
+/// it can only be in a later segment.
 ///
 /// A workload touching an unbounded stream of fresh addresses still
-/// grows the table monotonically; quiescent compaction remains a
-/// ROADMAP item (the epoch machinery here is the hook it will need).
+/// grows the table monotonically.
 template <typename Entry>
 class ObjectTable {
  public:
@@ -146,14 +143,10 @@ class ObjectTable {
     namespace detail = object_table_detail;
     const auto bits = reinterpret_cast<std::uintptr_t>(object);
     const std::uint64_t mixed = detail::mixAddress(bits);
-    // Relaxed epoch load: the stamp only has to be current with respect
-    // to the last quiescent reset, and quiescence already orders this
-    // thread after it (the runtime's taskwait/ready hand-off chain).
-    const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
     detail::ThreadCache& cache = detail::threadCache();
     detail::CacheSlot& slot =
         cache.slots[mixed >> (64 - detail::kCacheSlotsLog2)];
-    if (slot.epoch == epoch && slot.key == bits) {
+    if (slot.epoch == epoch_ && slot.key == bits) {
       // No acquire needed: this thread published or acquire-loaded the
       // entry when it filled the slot, so it already happens-after the
       // entry's construction.
@@ -162,7 +155,7 @@ class ObjectTable {
     }
     ++cache.misses;
     Entry& entry = lookupOrCreateShared(object, mixed);
-    slot.epoch = epoch;
+    slot.epoch = epoch_;
     slot.key = bits;
     slot.entry = &entry;
     return entry;
@@ -184,20 +177,12 @@ class ObjectTable {
     }
   }
 
-  /// Move this table to a fresh epoch, orphaning every TLS-cached entry
-  /// stamped with the old one.  Entries themselves survive (pointers
-  /// stay valid and warm); only the per-thread caches start cold.
-  /// Caller guarantees quiescence, same as forEach.
-  void invalidateThreadCaches() {
-    epoch_.store(object_table_detail::gEpochSource.fetch_add(
-                     1, std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-  }
-
-  /// Published entries (exact at quiescence; a mid-insert reading may
-  /// trail by in-flight CASes).
-  std::size_t entryCount() const {
-    return entryCount_.load(std::memory_order_relaxed);
+  /// Published entries, counted through forEach: for tests, at
+  /// quiescence.
+  std::size_t entryCount() {
+    std::size_t count = 0;
+    forEach([&count](Entry&) { ++count; });
+    return count;
   }
 
   /// Allocated probe segments (1 until the first window overflow).
@@ -246,74 +231,75 @@ class ObjectTable {
   static constexpr std::size_t kMaxSegments = 24;  // 1024 << 23 slots
   static constexpr std::size_t kProbeWindow = 16;
 
-  Node* newNode(void* object) {
-    std::lock_guard<SpinLock> guard(chunkLock_);
-    if (chunkUsed_ == Chunk::kNodes) {
-      chunks_.push_back(std::unique_ptr<Chunk>(new Chunk));
-      chunkUsed_ = 0;
-    }
-    return ::new (chunks_.back()->nodes[chunkUsed_++]) Node(object);
+  Entry& lookupOrCreateShared(void* object, std::uint64_t mixed) {
+    // Failpoint: every TLS miss lands here, before any table write, so
+    // throw mode fails the lookup cleanly.  Delay mode staggers racing
+    // first touches, so one thread's find overlaps another's insert.
+    ATS_FAILPOINT(table_insert);
+    if (Node* node = find(object, mixed)) return node->entry;
+    return insert(object, mixed);
   }
 
-  Entry& lookupOrCreateShared(void* object, std::uint64_t mixed) {
-    // Failpoint: the cold first-touch/insert-race path (TLS tier-1
-    // misses land here).  Delay mode widens the CAS-claim race window —
-    // the same-address adoption drill; a throw would unwind through a
-    // half-registered task, so throw mode is off-limits here.
-    ATS_FAILPOINT(table_insert);
-    Node* candidate = nullptr;
-    for (std::size_t si = 0; si < kMaxSegments; ++si) {
-      Segment& segment = segmentAt(si);
-      const auto base = static_cast<std::size_t>(mixed >> segment.shift);
+  /// The lock-free probe: `object`'s node, or nullptr once an empty slot
+  /// or a missing segment ends the search.
+  Node* find(const void* object, std::uint64_t mixed) const {
+    for (const auto& segmentSlot : segments_) {
+      const Segment* segment = segmentSlot.load(std::memory_order_acquire);
+      if (segment == nullptr) return nullptr;
+      const auto base = static_cast<std::size_t>(mixed >> segment->shift);
       for (std::size_t probe = 0; probe < kProbeWindow; ++probe) {
-        std::atomic<Node*>& bucket =
-            segment.slots[(base + probe) & segment.mask];
-        Node* node = bucket.load(std::memory_order_acquire);
-        if (node == nullptr) {
-          if (candidate == nullptr) candidate = newNode(object);
-          if (bucket.compare_exchange_strong(node, candidate,
-                                             std::memory_order_release,
-                                             std::memory_order_acquire)) {
-            entryCount_.fetch_add(1, std::memory_order_relaxed);
-            return candidate->entry;
-          }
-          // CAS failure reloaded `node` with the racing winner; fall
-          // through to the key check — a same-address race adopts it.
-        }
-        if (node->object == object) {
-          // Never published, so nobody else saw it; its storage stays
-          // unused in the chunk.
-          if (candidate != nullptr) candidate->~Node();
-          return node->entry;
-        }
+        Node* node = segment->slots[(base + probe) & segment->mask].load(
+            std::memory_order_acquire);
+        if (node == nullptr) return nullptr;
+        if (node->object == object) return node;
       }
       // Window full of other keys in this segment — the key, if
       // present, can only live in a later (larger) segment.
+    }
+    return nullptr;
+  }
+
+  /// First touch, out of line: the find above inlines into every
+  /// registration, this cold path does not.  Every table write happens
+  /// here, under lock_, so the loads need no ordering of their own: the
+  /// lock orders this holder after every earlier insert.
+  [[gnu::noinline]] Entry& insert(void* object, std::uint64_t mixed) {
+    std::lock_guard<SpinLock> guard(lock_);
+    for (std::size_t si = 0; si < kMaxSegments; ++si) {
+      Segment* segment = segments_[si].load(std::memory_order_relaxed);
+      if (segment == nullptr) {
+        segment = new Segment(kFirstSegmentSlots << si);
+        segments_[si].store(segment, std::memory_order_release);
+      }
+      const auto base = static_cast<std::size_t>(mixed >> segment->shift);
+      for (std::size_t probe = 0; probe < kProbeWindow; ++probe) {
+        std::atomic<Node*>& bucket =
+            segment->slots[(base + probe) & segment->mask];
+        Node* node = bucket.load(std::memory_order_relaxed);
+        if (node == nullptr) {
+          if (chunkUsed_ == Chunk::kNodes) {
+            chunks_.push_back(std::unique_ptr<Chunk>(new Chunk));
+            chunkUsed_ = 0;
+          }
+          node = ::new (chunks_.back()->nodes[chunkUsed_++]) Node(object);
+          bucket.store(node, std::memory_order_release);
+          return node->entry;
+        }
+        // A racing insert published it between our find and the lock.
+        if (node->object == object) return node->entry;
+      }
     }
     fatal("ats::ObjectTable: exhausted %zu doubling segments — "
           "unreachably many distinct dependency objects",
           kMaxSegments);
   }
 
-  Segment& segmentAt(std::size_t si) {
-    Segment* segment = segments_[si].load(std::memory_order_acquire);
-    if (segment != nullptr) return *segment;
-    auto* fresh = new Segment(kFirstSegmentSlots << si);
-    Segment* expected = nullptr;
-    if (segments_[si].compare_exchange_strong(expected, fresh,
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_acquire)) {
-      return *fresh;
-    }
-    delete fresh;  // lost the allocation race; adopt the winner's
-    return *expected;
-  }
-
-  SpinLock chunkLock_;
-  std::vector<std::unique_ptr<Chunk>> chunks_;  ///< guarded by chunkLock_
-  std::size_t chunkUsed_ = Chunk::kNodes;       ///< guarded by chunkLock_
-  std::atomic<std::uint64_t> epoch_;
-  std::atomic<std::size_t> entryCount_{0};
+  SpinLock lock_;  ///< every table write: slots, segments, chunks
+  std::vector<std::unique_ptr<Chunk>> chunks_;  ///< guarded by lock_
+  std::size_t chunkUsed_ = Chunk::kNodes;       ///< guarded by lock_
+  /// Set once: an entry lives as long as its table, so a cached pair
+  /// stays right across every reset; only another table must not match.
+  const std::uint64_t epoch_;
   std::atomic<Segment*> segments_[kMaxSegments];
 };
 

@@ -32,12 +32,13 @@ class WaitFreeAsmDeps final : public DependencySystem {
  public:
   explicit WaitFreeAsmDeps(ReadySink sink) : DependencySystem(sink) {}
 
-  void registerTask(DepTask* task, const Access* accesses,
-                    std::size_t count, std::size_t cpu) override;
   DepTask* releaseKeepingLast(DepTask* task, std::size_t cpu) override;
   void reset() override;
 
  private:
+  Preconditions registerAccesses(DepTask* task, const Access* accesses,
+                                 std::size_t count) override;
+
   /// One registered access, constructed in its task's access slot at
   /// registration (layout in waitfree_asm.cpp).
   struct Node;
@@ -77,7 +78,7 @@ class WaitFreeAsmDeps final : public DependencySystem {
   };
 
   /// Both return how many of the node's preconditions resolved during
-  /// registration, so registerTask can batch them into one guard drop.
+  /// registration, for registerAccesses to batch into one guard drop.
   std::int32_t registerRead(ObjectAsm& obj, Node* node);
   std::int32_t registerWrite(ObjectAsm& obj, Node* node);
 

@@ -184,26 +184,11 @@ class Runtime {
           F(std::forward<Fn>(fn));
       task->closureDestroy = [](Task& t) { static_cast<F*>(t.arg)->~F(); };
     } else {
-      // Heap spill through the same §4 allocator as the descriptor —
-      // closure churn is task churn.  Over-aligned captures (rare) fall
-      // back to aligned operator new, which the pool cannot guarantee.
+      // A capture too big for the inline buffer goes to the heap; C++17
+      // aligned new covers over-aligned captures too.  No app spills.
       ATS_FAILPOINT(closure_spill);
-      if constexpr (alignof(F) <= Allocator::kAlignment) {
-        void* mem = alloc_->allocate(sizeof(F));
-        task->arg = ::new (mem) F(std::forward<Fn>(fn));
-        task->closureDestroy = [](Task& t) {
-          static_cast<F*>(t.arg)->~F();
-          static_cast<Runtime*>(t.runtime)->alloc_->deallocate(t.arg,
-                                                              sizeof(F));
-          t.arg = nullptr;
-        };
-      } else {
-        task->arg = new F(std::forward<Fn>(fn));
-        task->closureDestroy = [](Task& t) {
-          delete static_cast<F*>(t.arg);
-          t.arg = nullptr;
-        };
-      }
+      task->arg = new F(std::forward<Fn>(fn));
+      task->closureDestroy = [](Task& t) { delete static_cast<F*>(t.arg); };
     }
     task->body = &invokeClosure<F>;
   }

@@ -5,8 +5,6 @@
 #include <new>
 #include <type_traits>
 
-#include "common/failpoint.hpp"
-
 namespace ats {
 
 /// One registered access: its place in its object's FIFO queue and
@@ -23,34 +21,25 @@ struct FineGrainedLocksDeps::Node {
   Node* nextEligible = nullptr;
 };
 
-void FineGrainedLocksDeps::registerTask(DepTask* task,
-                                        const Access* accesses,
-                                        std::size_t count, std::size_t cpu) {
-  // Failpoint: BEFORE any mutation (same contract as deps_register in
-  // the wait-free system) so throw mode is a clean spawn failure.
-  ATS_FAILPOINT(deps_register_locked);
+DependencySystem::Preconditions FineGrainedLocksDeps::registerAccesses(
+    DepTask* task, const Access* accesses, std::size_t count) {
   static_assert(sizeof(Node) <= kAccessNodeBytes &&
                 alignof(Node) <= alignof(std::max_align_t) &&
                 std::is_trivially_destructible_v<Node>,
                 "a node must fit its slot and need no destructor");
-  assert(count <= kMaxAccessesPerTask);
-#ifndef NDEBUG
+  // Every lookup first, so one that throws leaves every queue as it was.
+  ObjectLocked* objects[kMaxAccessesPerTask];
   for (std::size_t i = 0; i < count; ++i)
-    for (std::size_t j = i + 1; j < count; ++j)
-      assert(accesses[i].object != accesses[j].object &&
-             "a task must not declare the same object twice");
-#endif
+    objects[i] = &objects_.lookupOrCreate(accesses[i].object);
 
-  task->pendingDeps.store(static_cast<std::int32_t>(count) + 1,
-                          std::memory_order_relaxed);
-  task->numAccesses = count;
+  const auto preconditions = static_cast<std::int32_t>(count) + 1;
+  task->pendingDeps.store(preconditions, std::memory_order_relaxed);
 
   // Accesses eligible at registration are batched into the guard drop,
   // mirroring the wait-free system's bookkeeping.
   std::int32_t resolved = 0;
-
   for (std::size_t i = 0; i < count; ++i) {
-    ObjectLocked& obj = objects_.lookupOrCreate(accesses[i].object);
+    ObjectLocked& obj = *objects[i];
     Node* node = ::new (task->accessNodes[i])
         Node{.task = task, .read = accesses[i].isRead(), .home = &obj};
 
@@ -70,9 +59,7 @@ void FineGrainedLocksDeps::registerTask(DepTask* task,
     }
     if (eligible) ++resolved;
   }
-
-  finishRegistration(task, static_cast<std::int32_t>(count) + 1,
-                     resolved, cpu);
+  return {preconditions, resolved};
 }
 
 DepTask* FineGrainedLocksDeps::releaseKeepingLast(DepTask* task,
@@ -129,7 +116,6 @@ DepTask* FineGrainedLocksDeps::releaseKeepingLast(DepTask* task,
 }
 
 void FineGrainedLocksDeps::reset() {
-  objects_.invalidateThreadCaches();  // TLS entries go stale with the epoch
   objects_.forEach([](ObjectLocked& obj) {
     std::lock_guard<SpinLock> guard(obj.lock);
     assert(obj.head == nullptr && "reset with accesses still queued");

@@ -1,10 +1,8 @@
 #include "deps/waitfree_asm.hpp"
 
-#include <cassert>
 #include <new>
 #include <type_traits>
 
-#include "common/failpoint.hpp"
 #include "common/prefetch.hpp"
 
 namespace ats {
@@ -56,59 +54,20 @@ struct WaitFreeAsmDeps::Node {
   ReadGroup succGroup{};
 };
 
-void WaitFreeAsmDeps::registerTask(DepTask* task, const Access* accesses,
-                                   std::size_t count, std::size_t cpu) {
-  // Failpoint: BEFORE any mutation, so throw mode unwinds with the
-  // descriptor untouched and Runtime::registerAndSubmit can reclaim it
-  // cleanly (the spawn-failure drill).
-  ATS_FAILPOINT(deps_register);
+DependencySystem::Preconditions WaitFreeAsmDeps::registerAccesses(
+    DepTask* task, const Access* accesses, std::size_t count) {
   static_assert(sizeof(Node) <= kAccessNodeBytes &&
                 alignof(Node) <= alignof(std::max_align_t) &&
                 std::is_trivially_destructible_v<Node>,
                 "a node must fit its slot and need no destructor");
-  assert(count <= kMaxAccessesPerTask);
-#ifndef NDEBUG
-  for (std::size_t i = 0; i < count; ++i)
-    for (std::size_t j = i + 1; j < count; ++j)
-      assert(accesses[i].object != accesses[j].object &&
-             "a task must not declare the same object twice");
-#endif
-
-  std::int32_t preconditions = 1;  // creation guard
-  std::int32_t writes = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    preconditions += accesses[i].isRead() ? 1 : 2;
-    if (!accesses[i].isRead()) ++writes;
-  }
-  task->pendingDeps.store(preconditions, std::memory_order_relaxed);
-  task->numAccesses = count;
-
-  // Eager-reclamation references, armed up front: every write access
-  // will be published as its object's lastWrite (+1, dropped by the
-  // superseding write or quiescent reset) and owns a read group whose
-  // storage readers drain (+1, dropped by whoever detects the drain:
-  // the closing write when the group is already empty at close, the
-  // kClosedBias-landing reader otherwise, or reset when the group never
-  // closes).  Readers take NO references — an unclosed group's owner is
-  // still pinned by its lastWrite reference, a closed one by the group
-  // reference, so the counter they drain cannot die under them.  The
-  // load+store is race-free: the task is not published anywhere yet.
-  if (writes != 0) {
-    task->refCount.store(
-        task->refCount.load(std::memory_order_relaxed) + 2 * writes,
-        std::memory_order_relaxed);
-  }
-
-  // Preconditions that resolve during registration are batched into the
-  // guard drop below: one fetch_sub instead of one per resolution.
-  std::int32_t resolved = 0;
-
-  // Every access's RMWs land in its object's last write node, which the
-  // worker releasing that write may hold.  Each RMW orders the next, so
-  // fetched one by one those misses add up; start them all first.  Only
-  // a hint: lastWrite is this (serialized) path's own field, and a
-  // prefetch never faults.
+  // Every lookup first, so one that throws leaves the descriptor
+  // untouched.  Every access's RMWs land in its object's last write
+  // node, which the worker releasing that write may hold.  Each RMW
+  // orders the next, so fetched one by one those misses add up; start
+  // them all here.  Only a hint: lastWrite is this (serialized) path's
+  // own field, and a prefetch never faults.
   ObjectAsm* objects[kMaxAccessesPerTask];
+  std::int32_t writes = 0;
   for (std::size_t i = 0; i < count; ++i) {
     objects[i] = &objects_.lookupOrCreate(accesses[i].object);
     if (const Node* prev = objects[i]->lastWrite) {
@@ -116,8 +75,35 @@ void WaitFreeAsmDeps::registerTask(DepTask* task, const Access* accesses,
       prefetchForWrite(bytes);
       prefetchForWrite(bytes + sizeof(Node) - 1);
     }
+    if (!accesses[i].isRead()) ++writes;
   }
 
+  // The creation guard, one chain edge per access, and a read-group
+  // drain per write.
+  const std::int32_t preconditions =
+      1 + static_cast<std::int32_t>(count) + writes;
+  task->pendingDeps.store(preconditions, std::memory_order_relaxed);
+
+  // Eager-reclamation references, armed before any node is linked:
+  // every write access will be published as its object's lastWrite (+1,
+  // dropped by the superseding write or quiescent reset) and owns a
+  // read group whose storage readers drain (+1, dropped by whoever
+  // detects the drain: the closing write when the group is already
+  // empty at close, the kClosedBias-landing reader otherwise, or reset
+  // when the group never closes).  Readers take NO references — an
+  // unclosed group's owner is still pinned by its lastWrite reference,
+  // a closed one by the group reference, so the counter they drain
+  // cannot die under them.  The load+store is race-free: the task is
+  // not published anywhere yet.
+  if (writes != 0) {
+    task->refCount.store(
+        task->refCount.load(std::memory_order_relaxed) + 2 * writes,
+        std::memory_order_relaxed);
+  }
+
+  // Preconditions that resolve during registration are batched into the
+  // guard drop: one fetch_sub instead of one per resolution.
+  std::int32_t resolved = 0;
   for (std::size_t i = 0; i < count; ++i) {
     Node* node = ::new (task->accessNodes[i])
         Node{.task = task, .read = accesses[i].isRead()};
@@ -128,8 +114,7 @@ void WaitFreeAsmDeps::registerTask(DepTask* task, const Access* accesses,
       resolved += registerWrite(obj, node);
     }
   }
-
-  finishRegistration(task, preconditions, resolved, cpu);
+  return {preconditions, resolved};
 }
 
 std::int32_t WaitFreeAsmDeps::registerRead(ObjectAsm& obj, Node* node) {
@@ -218,7 +203,7 @@ std::int32_t WaitFreeAsmDeps::registerWrite(ObjectAsm& obj, Node* node) {
   }
 
   // Publish as the object's last write (our lastWrite reference was
-  // pre-armed by registerTask) and drop the superseded write's
+  // pre-armed by registerAccesses) and drop the superseded write's
   // references: its lastWrite reference always, its group reference too
   // when the close found the group already drained — strictly after the
   // group close and chain link above, which were the final touches of
@@ -283,10 +268,6 @@ DepTask* WaitFreeAsmDeps::releaseKeepingLast(DepTask* task,
 }
 
 void WaitFreeAsmDeps::reset() {
-  // New epoch first: every TLS-cached entry for this table goes stale
-  // before any field is cleared, so a thread resuming after quiescence
-  // re-probes instead of trusting a pre-reset stamp.
-  objects_.invalidateThreadCaches();
   objects_.forEach([](ObjectAsm& obj) {
     if (obj.lastWrite != nullptr) {
       // Quiescence: nothing will chase this chain again, so the final

@@ -1,8 +1,8 @@
 #include "instr/tracer.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+
+#include "common/fatal.hpp"
 
 namespace ats {
 
@@ -21,12 +21,9 @@ Tracer::Tracer(std::size_t numCpuStreams, std::size_t capacityPerStream)
   if (capacityPerStream == 0 ||
       capacityPerStream > (std::size_t{1} << 31) ||
       numStreams_ >= (std::size_t{1} << 16)) {
-    std::fprintf(stderr,
-                 "ats::Tracer: %zu streams x %zu records/stream is outside "
-                 "the format's limits (streams < 65536, 0 < capacity <= "
-                 "2^31)\n",
-                 numStreams_, capacityPerStream);
-    std::abort();
+    fatal("ats::Tracer: %zu streams x %zu records/stream is outside the "
+          "format's limits (streams < 65536, 0 < capacity <= 2^31)",
+          numStreams_, capacityPerStream);
   }
   for (std::size_t s = 0; s < numStreams(); ++s) {
     streams_[s].records = std::make_unique<TraceRecord[]>(capacity_);

@@ -109,9 +109,9 @@ Runtime::Runtime(RuntimeConfig config) : config_(std::move(config)) {
   // in the destructor.
   if (config_.tracer != nullptr)
     installFatalHook(&dumpTracerOnFatal, this);
-  // §4: descriptors (and heap-spilled closures) come from the
-  // configured allocator — the thread-caching pool for the optimized
-  // runtime, plain operator new for the "w/o jemalloc" ablation.
+  // §4: descriptors come from the configured allocator — the
+  // thread-caching pool for the optimized runtime, plain operator new
+  // for the "w/o jemalloc" ablation.
   alloc_ = config_.usePoolAllocator
                ? static_cast<Allocator*>(&PoolAllocator::instance())
                : static_cast<Allocator*>(&SystemAllocator::instance());
@@ -210,10 +210,10 @@ void Runtime::registerAndSubmit(Task* task,
   try {
     deps_->registerTask(task, accesses.data(), accesses.size(), cpu);
   } catch (...) {
-    // Only the deps_register* failpoints can throw here, and they sit
-    // BEFORE the deps layer mutates anything — so the descriptor is
-    // still wholly ours: undo the spawn count in place, destroy the
-    // closure, and reclaim it so conservation holds for the caller.
+    // registerTask throws only before the deps layer writes anything
+    // (its failpoint, or a lookup) — so the descriptor is still wholly
+    // ours: undo the spawn count in place, destroy the closure, and
+    // reclaim it so conservation holds for the caller.
     bumpOwned(spawned, -1);
     task->closureDestroy(*task);
     task->dropRef();

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "deps/object_table.hpp"
 #include "memory/pool_allocator.hpp"
 #include "runtime/task.hpp"
 
@@ -210,6 +211,31 @@ TEST_P(EveryDepsSystemTest, ResetAllowsDescriptorReuse) {
   // registration again instead of chaining behind its stale former self.
   reg(t0, {inout(x)});
   EXPECT_EQ(rec_.counts[&t0], 2);
+  reg(t1, {inout(x)});
+  EXPECT_FALSE(rec_.ready(&t1));
+  deps_->release(&t0, 0);
+  EXPECT_TRUE(rec_.ready(&t1));
+  deps_->release(&t1, 0);
+}
+
+// An entry lives as long as its table, so a reset keeps every thread's
+// cached address->entry pair: re-registering a known object afterwards
+// is a thread-cache hit, on the very entry the reset cleared — the task
+// is ready at once, and the next access on the object chains behind it.
+TEST_P(EveryDepsSystemTest, ReregistrationAfterResetHitsTheThreadCache) {
+  long long x = 0;
+  DepTask t0, t1;
+  reg(t0, {inout(x)});
+  deps_->release(&t0, 0);
+  deps_->reset();
+
+  const auto before = objectTableThreadCacheCounters();
+  reg(t0, {inout(x)});
+  const auto after = objectTableThreadCacheCounters();
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(rec_.counts[&t0], 2);
+
   reg(t1, {inout(x)});
   EXPECT_FALSE(rec_.ready(&t1));
   deps_->release(&t0, 0);

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -192,11 +193,9 @@ TEST_P(FailureMatrixTest, CancelDrainsWithoutError) {
 // Failpoint-injected spawn failure: deps_register sits BEFORE any
 // mutation, so the throw surfaces at the spawn() call site, the
 // descriptor is reclaimed, and the graph that was already registered
-// still drains normally.
+// still drains normally.  One site serves both deps kinds.
 TEST_P(FailureMatrixTest, SpawnFailureAtDepsRegisterIsClean) {
   const auto [deps, sched] = GetParam();
-  const char* site = deps == DepsKind::WaitFreeAsm ? "deps_register"
-                                                   : "deps_register_locked";
   Runtime rt(testConfig(deps, sched, 4));
   std::atomic<int> executed{0};
   for (int i = 0; i < 100; ++i) {
@@ -204,15 +203,70 @@ TEST_P(FailureMatrixTest, SpawnFailureAtDepsRegisterIsClean) {
       executed.fetch_add(1, std::memory_order_relaxed);
     });
   }
-  FailpointRegistry::instance().arm(site, FailpointMode::Throw, 1.0, 1);
+  FailpointRegistry::instance().arm("deps_register", FailpointMode::Throw,
+                                    1.0, 1);
   long long obj = 0;
   EXPECT_THROW(rt.spawn({inout(obj)}, [] {}), FailpointError);
-  FailpointRegistry::instance().disarm(site);
+  FailpointRegistry::instance().disarm("deps_register");
 
   EXPECT_NO_THROW(rt.taskwaitChecked())
       << "a spawn-side failure must not poison the graph";
   EXPECT_EQ(executed.load(), 100);
   EXPECT_EQ(rt.liveDescriptors(), 0u);
+}
+
+// A lookup that throws mid-registration: `known` hits the spawner's
+// thread cache, filled by its first spawn, and `fresh` misses into the
+// armed table_insert.  Registration looks every object up before it
+// writes anything, so the failed spawn leaves no node in `known`'s
+// chain and no reference armed in its descriptor.  The latched task
+// holds the freed block, so a node left behind in it would stay linked
+// ahead of the increments; the deadline turns that hang into a failure.
+TEST_P(FailureMatrixTest, SpawnFailureAtTableInsertIsClean) {
+  constexpr int kIncrements = 64;
+  const auto [deps, sched] = GetParam();
+  struct Shared {
+    long long known = 0;
+    long long fresh = 0;
+    std::atomic<bool> latch{false};
+  };
+  auto shared = std::make_unique<Shared>();
+  auto rt = std::make_unique<Runtime>(testConfig(deps, sched, 4));
+  Shared& s = *shared;
+
+  rt->spawn({inout(s.known)}, [&s] { ++s.known; });
+  FailpointRegistry::instance().arm("table_insert", FailpointMode::Throw,
+                                    1.0, 1);
+  EXPECT_THROW(rt->spawn({inout(s.known), inout(s.fresh)}, [] {}),
+               FailpointError);
+  FailpointRegistry::instance().disarm("table_insert");
+
+  rt->spawn({}, [&s] {
+    while (!s.latch.load(std::memory_order_acquire))
+      std::this_thread::yield();
+  });
+  for (int i = 0; i < kIncrements; ++i)
+    rt->spawn({inout(s.known)}, [&s] { ++s.known; });
+  s.latch.store(true, std::memory_order_release);
+
+  const std::uint64_t expected = kIncrements + 2;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (rt->tasksRetired() < expected &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (rt->tasksRetired() < expected) {
+    ADD_FAILURE() << "stuck at " << rt->tasksRetired() << " of " << expected
+                  << " retired";
+    // Its destructor would wait forever; leak it with what it reaches.
+    (void)rt.release();
+    (void)shared.release();
+    return;
+  }
+  EXPECT_NO_THROW(rt->taskwaitChecked());
+  EXPECT_EQ(s.known, kIncrements + 1);
+  EXPECT_EQ(rt->liveDescriptors(), 0u);
 }
 
 // closure_spill guards the heap-spill allocation: a large-capture spawn
@@ -502,6 +556,13 @@ TEST(FatalDeathTest, SpawnWithTooManyAccessesDies) {
         rt.spawn(std::span<const Access>(accesses), [] {});
       },
       "declares 9 accesses, the descriptor holds at most 8");
+}
+
+// The tracer's format limits die through fatal like the rest of the
+// runtime: file:line first, then the hook.
+TEST(FatalDeathTest, TracerRejectsZeroCapacity) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(Tracer(1, 0), "ats: FATAL .*Tracer");
 }
 
 // The crash-evidence pipeline end to end: a fatal inside a traced
