@@ -2,8 +2,8 @@
 //
 //   * BM_FailpointUnarmed: one ATS_FAILPOINT pass with the site never
 //     armed — the price every production chokepoint pays forever.  The
-//     macro compiles to a function-local static bind (one-time) plus a
-//     single relaxed load; the acceptance bar is <1ns/check.
+//     macro compiles to one relaxed load of the row's armed flag; the
+//     acceptance bar is <1ns/check.
 //   * BM_FailpointArmedMiss: the same site armed at probability 0 — the
 //     full evaluate() slow path (counter bump, RNG draw, threshold
 //     compare) without firing.  This is the worst steady-state cost an
@@ -39,7 +39,7 @@ constexpr int kBatch = 2000;
 void BM_FailpointUnarmed(benchmark::State& state) {
   for (auto _ : state) {
     for (int i = 0; i < kBatch; ++i) {
-      ATS_FAILPOINT(bench_unarmed);
+      ATS_FAILPOINT(closure_spill);
       benchmark::ClobberMemory();
     }
   }
@@ -49,11 +49,11 @@ void BM_FailpointUnarmed(benchmark::State& state) {
 /// The armed slow path that never fires: probability 0 forces every
 /// pass through evaluate()'s counter + RNG + compare and back.
 void BM_FailpointArmedMiss(benchmark::State& state) {
-  Failpoint& site = FailpointRegistry::instance().site("bench_armed_miss");
+  Failpoint& site = failpoint(FailpointId::closure_spill);
   site.arm(FailpointMode::Throw, /*prob=*/0.0, /*count=*/0);
   for (auto _ : state) {
     for (int i = 0; i < kBatch; ++i) {
-      ATS_FAILPOINT(bench_armed_miss);
+      ATS_FAILPOINT(closure_spill);
       benchmark::ClobberMemory();
     }
   }

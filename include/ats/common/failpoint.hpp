@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace ats {
 
@@ -17,14 +16,22 @@ enum class FailpointMode : std::uint8_t {
   Abort,    ///< ats::fatal (crash-consistency drills; dumps the tracer)
 };
 
+/// The failpoints, one per planted site name.  A row's id is its
+/// enumerator + 1, so 0 stays "not a failpoint" in a TaskFailed payload.
+enum class FailpointId : std::uint8_t {
+  closure_spill, deps_register, table_insert, pool_carve, task_invoke,
+  addbuf_overflow, serve_batch, deque_grow, kCount
+};
+
 /// The exception Throw-mode failpoints raise.  Carries the failpoint's
-/// registry id so the runtime's catch frame can stamp it into the
-/// TaskFailed trace payload — a trace reader can then tell WHICH
-/// chokepoint was injected without string matching.
+/// id so the runtime's catch frame can stamp it into the TaskFailed
+/// trace payload — a trace reader can then tell WHICH chokepoint was
+/// injected without string matching.
 class FailpointError : public std::runtime_error {
  public:
-  FailpointError(const std::string& name, std::uint32_t id)
-      : std::runtime_error("ats::failpoint fired: " + name), id_(id) {}
+  FailpointError(const char* name, std::uint32_t id)
+      : std::runtime_error(std::string("ats::failpoint fired: ") + name),
+        id_(id) {}
 
   std::uint32_t id() const { return id_; }
 
@@ -32,23 +39,22 @@ class FailpointError : public std::runtime_error {
   std::uint32_t id_;
 };
 
-/// One named fault-injection chokepoint.  Sites reference a Failpoint
-/// through the ATS_FAILPOINT macro below; arming happens out-of-band
-/// (env or FailpointRegistry API), so the site itself never takes a
-/// lock: the unarmed check is a single relaxed load of `armed_`.
-///
-/// Node addresses are stable for the process lifetime (the registry
-/// never erases), which is what lets every site cache a reference in a
-/// function-local static.
-class Failpoint {
+/// One row of the failpoint table.  Sites reach their row through the
+/// ATS_FAILPOINT macro below; arming happens out-of-band (ATS_FAILPOINTS
+/// or arm()), so the site itself never takes a lock: the unarmed check
+/// is a single relaxed load of `armed_`.  One row per cache line, so an
+/// armed row's counter RMWs never touch another row's armed flag.
+class alignas(64) Failpoint {
  public:
-  Failpoint(std::string name, std::uint32_t id)
-      : name_(std::move(name)), id_(id) {}
+  constexpr Failpoint(FailpointId id, const char* name, bool mayThrow)
+      : name_(name),
+        id_(static_cast<std::uint32_t>(id) + 1),
+        mayThrow_(mayThrow) {}
 
   Failpoint(const Failpoint&) = delete;
   Failpoint& operator=(const Failpoint&) = delete;
 
-  const std::string& name() const { return name_; }
+  const char* name() const { return name_; }
   std::uint32_t id() const { return id_; }
 
   /// The site-side unarmed check: one relaxed load, no fence, no RMW.
@@ -60,8 +66,9 @@ class Failpoint {
   void evaluate();
 
   /// Arm with `prob` in [0,1] per evaluation and `count` total fires
-  /// (0 = unlimited).  `delayUs` only matters for DelayUs mode.
-  void arm(FailpointMode mode, double prob, std::uint64_t count,
+  /// (0 = unlimited).  `delayUs` only matters for DelayUs mode.  Returns
+  /// false, arming nothing, for Throw on a row that may not throw.
+  bool arm(FailpointMode mode, double prob, std::uint64_t count,
            std::uint64_t delayUs = 0);
   void disarm();
 
@@ -83,8 +90,11 @@ class Failpoint {
   }
 
  private:
-  std::string name_;
+  const char* name_;
   std::uint32_t id_;
+  /// False where a throw would lose a task or unwind through a held
+  /// lock (DESIGN.md, "Failure domains"): such a row is delay-only.
+  bool mayThrow_;
 
   std::atomic<bool> armed_{false};
   std::atomic<std::uint8_t> mode_{
@@ -98,58 +108,46 @@ class Failpoint {
   std::atomic<std::uint64_t> fires_{0};
 };
 
-/// Process-wide registry of failpoints, keyed by name.  First use parses
-/// `ATS_FAILPOINTS` — a comma-separated list of specs:
+inline constexpr std::size_t kFailpointCount =
+    static_cast<std::size_t>(FailpointId::kCount);
+
+/// The table, defined in failpoint.cpp.
+extern constinit Failpoint gFailpoints[kFailpointCount];
+
+inline Failpoint& failpoint(FailpointId id) {
+  return gFailpoints[static_cast<std::size_t>(id)];
+}
+
+/// Parse and apply one spec:
 ///
 ///   name:prob:count[:mode[:delay_us]]
 ///
 /// where `prob` is the per-evaluation fire probability in [0,1], `count`
 /// caps total fires (0 = unlimited), and `mode` is one of `throw`
 /// (default), `abort`, `delay-us` (with `delay_us` microseconds, default
-/// 100).  Example — the CI smoke's 1% task-invoke throw:
+/// 100).  Returns false, arming nothing, on malformed input, a name no
+/// row carries, or a throw at a delay-only row.
+bool armFailpointSpec(const std::string& spec);
+
+/// Apply a comma-separated list of specs; ats::fatal names the first one
+/// that cannot be armed.  Before main, failpoint.cpp applies
+/// `ATS_FAILPOINTS` through it — the CI smoke's 1% task-invoke throw:
 ///
 ///   ATS_FAILPOINTS=task_invoke:0.01:0
-///
-/// Arming a name the binary never reaches is fine (the node just sits
-/// idle); site() and arm() converge on the same node by name.
-class FailpointRegistry {
- public:
-  static FailpointRegistry& instance();
+void armFailpointList(const std::string& list);
 
-  /// Find-or-create the node for `name`.  Called once per site through
-  /// the macro's static; also the programmatic arm/inspect entry.
-  Failpoint& site(const char* name);
-
-  /// Parse and apply one `name:prob:count[:mode[:delay_us]]` spec.
-  /// Returns false (arming nothing) on malformed input.
-  bool armFromSpec(const std::string& spec);
-
-  bool arm(const char* name, FailpointMode mode, double prob,
-           std::uint64_t count, std::uint64_t delayUs = 0);
-  void disarm(const char* name);
-  void disarmAll();
-
-  /// Stable snapshot of every registered node (for tests/diagnostics).
-  std::vector<Failpoint*> all();
-
- private:
-  FailpointRegistry();
-
-  struct Impl;
-  Impl* impl_;  ///< leaked intentionally: sites outlive static dtors
-};
+void disarmAllFailpoints();
 
 }  // namespace ats
 
-/// Plant a fault-injection chokepoint.  Compiles to a function-local
-/// static bind (guard load after first pass) plus one relaxed load while
-/// unarmed; the evaluate() slow path is only reachable once armed via
-/// ATS_FAILPOINTS or FailpointRegistry.  `name` is a bare identifier —
-/// it is stringized for the registry key.
-#define ATS_FAILPOINT(name)                                      \
-  do {                                                           \
-    static ::ats::Failpoint& ats_failpoint_site_ =               \
-        ::ats::FailpointRegistry::instance().site(#name);        \
-    if (ats_failpoint_site_.armed()) [[unlikely]]                \
-      ats_failpoint_site_.evaluate();                            \
+/// Plant a fault-injection chokepoint: one relaxed load of the row's
+/// armed flag while unarmed; the evaluate() slow path is only reachable
+/// once armed.  `name` is a bare FailpointId enumerator, so a misspelled
+/// site does not compile.
+#define ATS_FAILPOINT(name)                                             \
+  do {                                                                  \
+    ::ats::Failpoint& ats_failpoint_site_ =                             \
+        ::ats::failpoint(::ats::FailpointId::name);                     \
+    if (ats_failpoint_site_.armed()) [[unlikely]]                       \
+      ats_failpoint_site_.evaluate();                                   \
   } while (0)

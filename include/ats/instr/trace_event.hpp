@@ -21,7 +21,7 @@ enum class TraceEvent : std::uint16_t {
   KernelIrqEnter = 8,      ///< payload: displaced CPU
   KernelIrqExit = 9,       ///< payload: displaced CPU
   SchedSteal = 10,         ///< a thief's steal succeeded; payload: victim slot.  Emitted into the THIEF's stream (work_steal scheduler).  Trace format note: a new event value, not a payload redefinition — v2 readers that predate it render "Unknown" but parse the file fine, so no version bump.
-  TaskFailed = 11,         ///< a task body threw; payload: the firing failpoint's registry id (0 = a non-injected exception).  Replaces TaskEnd for that task — the busy interval it closes is real execution time.  Format v4.
+  TaskFailed = 11,         ///< a task body threw; payload: the firing failpoint's id, its FailpointId + 1 (0 = a non-injected exception).  Replaces TaskEnd for that task — the busy interval it closes is real execution time.  Format v4; fixed ids since v6.
   TaskSkipped = 12,        ///< a ready task was drained without running (graph poisoned); payload: task descriptor address (the TaskStart correlation key it will never get).  Format v4.
   GraphCancelled = 13,     ///< the graph's cancellation token flipped; payload: 0 = first captured task failure, 1 = caller-initiated cancel().  Emitted once per poisoning, in the poisoning thread's stream.  Format v4.
 };

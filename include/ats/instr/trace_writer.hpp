@@ -27,10 +27,13 @@ struct TraceWriter {
   /// pairing (and every busy/conservation statistic built on it)
   /// silently undercounts failed runs.  v5: the SchedServe payload is a
   /// plain hand-off count again (one NUMA domain, nothing to split).
+  /// v6: a TaskFailed payload is a fixed failpoint id (FailpointId + 1);
+  /// in v5 ids followed the writing process's first-touch order, so a
+  /// name printed for one would be wrong.
   /// The record layout is unchanged each time, but stale readers would
   /// skew analyzer sums silently, so the version gate makes old traces
   /// fail loudly instead.
-  static constexpr std::uint32_t kVersion = 5;
+  static constexpr std::uint32_t kVersion = 6;
 
   /// Fixed 24-byte file header preceding the record array.
   struct BinaryHeader {
@@ -51,7 +54,8 @@ struct TraceWriter {
   static bool readBinary(const std::string& path,
                          std::vector<TraceRecord>& out);
 
-  /// One line per record: timestamp, stream, event name, payload.
+  /// One line per record: timestamp, stream, event name, payload; a
+  /// TaskFailed payload that names a failpoint is followed by its name.
   static std::string renderText(const std::vector<TraceRecord>& records);
 
   /// renderText to a file.  False on I/O failure.

@@ -1,17 +1,28 @@
 #include "common/failpoint.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <thread>
-#include <unordered_map>
+#include <vector>
 
 #include "common/fatal.hpp"
 
 namespace ats {
+
+/// The throw column is DESIGN.md's "Failure domains" table: the first
+/// five unwind cleanly; at the last three a throw loses a task or
+/// unwinds through a held lock, so they are delay-only.
+constinit Failpoint gFailpoints[kFailpointCount] = {
+    {FailpointId::closure_spill, "closure_spill", true},
+    {FailpointId::deps_register, "deps_register", true},
+    {FailpointId::table_insert, "table_insert", true},
+    {FailpointId::pool_carve, "pool_carve", true},
+    {FailpointId::task_invoke, "task_invoke", true},
+    {FailpointId::addbuf_overflow, "addbuf_overflow", false},
+    {FailpointId::serve_batch, "serve_batch", false},
+    {FailpointId::deque_grow, "deque_grow", false},
+};
 
 namespace {
 
@@ -28,19 +39,31 @@ std::uint64_t rngNext() {
   return state * 0x2545F4914F6CDD1Dull;
 }
 
-FailpointMode parseMode(const std::string& token, bool& ok) {
-  ok = true;
+/// Off for a token that names no mode: no spec may ask for Off.
+FailpointMode parseMode(const std::string& token) {
   if (token == "throw") return FailpointMode::Throw;
   if (token == "abort") return FailpointMode::Abort;
-  if (token == "delay-us" || token == "delay") return FailpointMode::DelayUs;
-  ok = false;
+  if (token == "delay-us") return FailpointMode::DelayUs;
   return FailpointMode::Off;
+}
+
+std::vector<std::string> split(const std::string& text, char separator) {
+  std::vector<std::string> fields;
+  for (std::size_t start = 0;;) {
+    const std::size_t end = text.find(separator, start);
+    fields.push_back(text.substr(start, end == std::string::npos
+                                            ? std::string::npos
+                                            : end - start));
+    if (end == std::string::npos) return fields;
+    start = end + 1;
+  }
 }
 
 }  // namespace
 
-void Failpoint::arm(FailpointMode mode, double prob, std::uint64_t count,
+bool Failpoint::arm(FailpointMode mode, double prob, std::uint64_t count,
                     std::uint64_t delayUs) {
+  if (mode == FailpointMode::Throw && !mayThrow_) return false;
   if (prob < 0.0) prob = 0.0;
   if (prob > 1.0) prob = 1.0;
   // prob == 1.0 must ALWAYS fire; the threshold compare is strict-less,
@@ -57,6 +80,7 @@ void Failpoint::arm(FailpointMode mode, double prob, std::uint64_t count,
   // Publish last: a site observing armed sees a fully-configured node
   // (the fields above are only read after this load in evaluate()).
   armed_.store(mode != FailpointMode::Off, std::memory_order_release);
+  return true;
 }
 
 void Failpoint::disarm() {
@@ -101,75 +125,14 @@ void Failpoint::evaluate() {
       return;
     case FailpointMode::Abort:
       fatal("failpoint '%s' fired in abort mode (ATS_FAILPOINTS drill)",
-            name_.c_str());
+            name_);
     case FailpointMode::Off:
       return;
   }
 }
 
-struct FailpointRegistry::Impl {
-  std::mutex lock;
-  // unique_ptr nodes: Failpoint addresses must stay stable while the
-  // map rehashes (sites cache references forever).
-  std::unordered_map<std::string, std::unique_ptr<Failpoint>> nodes;
-  std::uint32_t nextId = 1;  // 0 = "not a failpoint" in trace payloads
-};
-
-FailpointRegistry::FailpointRegistry() : impl_(new Impl) {
-  // Env arming happens exactly once, before any site can be armed —
-  // instance() construction is the first thing every ATS_FAILPOINT
-  // static init runs through.
-  const char* spec = std::getenv("ATS_FAILPOINTS");
-  if (spec == nullptr || *spec == '\0') return;
-  std::string all(spec);
-  std::size_t start = 0;
-  while (start <= all.size()) {
-    const std::size_t comma = all.find(',', start);
-    const std::string one =
-        all.substr(start, comma == std::string::npos ? std::string::npos
-                                                     : comma - start);
-    if (!one.empty() && !armFromSpec(one)) {
-      std::fprintf(stderr,
-                   "ats: ATS_FAILPOINTS: ignoring malformed spec '%s' "
-                   "(want name:prob:count[:mode[:delay_us]])\n",
-                   one.c_str());
-    }
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-}
-
-FailpointRegistry& FailpointRegistry::instance() {
-  // Leaked on purpose: ATS_FAILPOINT statics reference nodes from any
-  // translation unit's destructors, so the registry must never die.
-  static FailpointRegistry* registry = new FailpointRegistry;
-  return *registry;
-}
-
-Failpoint& FailpointRegistry::site(const char* name) {
-  std::lock_guard<std::mutex> guard(impl_->lock);
-  auto it = impl_->nodes.find(name);
-  if (it == impl_->nodes.end()) {
-    it = impl_->nodes
-             .emplace(name,
-                      std::make_unique<Failpoint>(name, impl_->nextId++))
-             .first;
-  }
-  return *it->second;
-}
-
-bool FailpointRegistry::armFromSpec(const std::string& spec) {
-  // name:prob:count[:mode[:delay_us]]
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t colon = spec.find(':', start);
-    fields.push_back(spec.substr(
-        start, colon == std::string::npos ? std::string::npos
-                                          : colon - start));
-    if (colon == std::string::npos) break;
-    start = colon + 1;
-  }
+bool armFailpointSpec(const std::string& spec) {
+  const std::vector<std::string> fields = split(spec, ':');
   if (fields.size() < 3 || fields.size() > 5 || fields[0].empty())
     return false;
   double prob = 0;
@@ -183,35 +146,39 @@ bool FailpointRegistry::armFromSpec(const std::string& spec) {
     return false;
   }
   if (prob < 0.0 || prob > 1.0) return false;
-  FailpointMode mode = FailpointMode::Throw;
-  if (fields.size() >= 4) {
-    bool ok = false;
-    mode = parseMode(fields[3], ok);
-    if (!ok) return false;
+  const FailpointMode mode =
+      fields.size() >= 4 ? parseMode(fields[3]) : FailpointMode::Throw;
+  if (mode == FailpointMode::Off) return false;
+  for (Failpoint& row : gFailpoints) {
+    if (fields[0] == row.name()) return row.arm(mode, prob, count, delayUs);
   }
-  return arm(fields[0].c_str(), mode, prob, count, delayUs);
+  return false;
 }
 
-bool FailpointRegistry::arm(const char* name, FailpointMode mode,
-                            double prob, std::uint64_t count,
-                            std::uint64_t delayUs) {
-  site(name).arm(mode, prob, count, delayUs);
+void armFailpointList(const std::string& list) {
+  for (const std::string& spec : split(list, ',')) {
+    if (!spec.empty() && !armFailpointSpec(spec)) {
+      fatal("ATS_FAILPOINTS: cannot arm '%s' (want name:prob:count"
+            "[:mode[:delay_us]] with a failpoint's name, and no throw at "
+            "a delay-only one)",
+            spec.c_str());
+    }
+  }
+}
+
+void disarmAllFailpoints() {
+  for (Failpoint& row : gFailpoints) row.disarm();
+}
+
+namespace {
+
+/// Arms the environment's drill before main, so no site runs unarmed
+/// first and a spec that cannot be armed stops the process.
+[[maybe_unused]] const bool gEnvironmentArmed = [] {
+  if (const char* list = std::getenv("ATS_FAILPOINTS")) armFailpointList(list);
   return true;
-}
+}();
 
-void FailpointRegistry::disarm(const char* name) { site(name).disarm(); }
-
-void FailpointRegistry::disarmAll() {
-  std::lock_guard<std::mutex> guard(impl_->lock);
-  for (auto& [name, node] : impl_->nodes) node->disarm();
-}
-
-std::vector<Failpoint*> FailpointRegistry::all() {
-  std::lock_guard<std::mutex> guard(impl_->lock);
-  std::vector<Failpoint*> out;
-  out.reserve(impl_->nodes.size());
-  for (auto& [name, node] : impl_->nodes) out.push_back(node.get());
-  return out;
-}
+}  // namespace
 
 }  // namespace ats

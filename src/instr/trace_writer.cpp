@@ -4,6 +4,8 @@
 #include <cstring>
 #include <memory>
 
+#include "common/failpoint.hpp"
+
 namespace ats {
 
 namespace {
@@ -77,10 +79,16 @@ std::string TraceWriter::renderText(const std::vector<TraceRecord>& records) {
   text.reserve(records.size() * 64);
   char line[128];
   for (const TraceRecord& r : records) {
-    std::snprintf(line, sizeof(line), "%12llu ns  s%02u  %-18s  %llu\n",
-                  static_cast<unsigned long long>(r.timeNs),
-                  static_cast<unsigned>(r.stream), eventName(r.event),
-                  static_cast<unsigned long long>(r.payload));
+    const bool namesFailpoint = r.event == TraceEvent::TaskFailed &&
+                                r.payload >= 1 && r.payload <= kFailpointCount;
+    std::snprintf(
+        line, sizeof(line), "%12llu ns  s%02u  %-18s  %llu%s%s%s\n",
+        static_cast<unsigned long long>(r.timeNs),
+        static_cast<unsigned>(r.stream), eventName(r.event),
+        static_cast<unsigned long long>(r.payload),
+        namesFailpoint ? " (" : "",
+        namesFailpoint ? gFailpoints[r.payload - 1].name() : "",
+        namesFailpoint ? ")" : "");
     text += line;
   }
   return text;

@@ -1,11 +1,12 @@
-// Failpoint semantics: arm/disarm, probability and count gates, spec
-// parsing, and the macro's unarmed fast path.  Each TEST runs in its own
-// process (gtest_discover_tests), so tests may arm global state freely as
-// long as they disarm on exit paths they share.
+// Failpoint semantics: the table's rows, arm/disarm, probability and
+// count gates, spec parsing, and the macro's unarmed fast path.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,39 +15,89 @@
 namespace ats {
 namespace {
 
-// A test-owned chokepoint: evaluates the macro exactly like a planted
-// site would, returning whether this pass threw.
+// The test's chokepoint: closure_spill's row, which no code under test
+// here reaches.  Evaluates the macro exactly like a planted site would,
+// returning whether this pass threw.
 bool hitTestSite() {
   try {
-    ATS_FAILPOINT(test_site);
+    ATS_FAILPOINT(closure_spill);
     return false;
   } catch (const FailpointError&) {
     return true;
   }
 }
 
-Failpoint& testSite() {
-  return FailpointRegistry::instance().site("test_site");
+Failpoint& testSite() { return failpoint(FailpointId::closure_spill); }
+
+bool anyArmed() {
+  for (const Failpoint& row : gFailpoints)
+    if (row.armed()) return true;
+  return false;
 }
 
-TEST(FailpointTest, SiteIsFindOrCreateWithStableNonZeroIds) {
-  Failpoint& a = FailpointRegistry::instance().site("fp_alpha");
-  Failpoint& b = FailpointRegistry::instance().site("fp_beta");
-  EXPECT_NE(&a, &b);
-  EXPECT_NE(a.id(), 0u) << "0 means 'not a failpoint' in trace payloads";
-  EXPECT_NE(b.id(), 0u);
-  EXPECT_NE(a.id(), b.id());
-  EXPECT_EQ(&a, &FailpointRegistry::instance().site("fp_alpha"));
-  EXPECT_EQ(a.name(), "fp_alpha");
+constexpr FailpointId kDelayOnly[] = {FailpointId::addbuf_overflow,
+                                      FailpointId::serve_batch,
+                                      FailpointId::deque_grow};
+
+// Every test starts from a disarmed table with zeroed counters, so the
+// tests pass in one process, in any order, and under ATS_FAILPOINTS.
+class FailpointTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    disarmAllFailpoints();
+    for (Failpoint& row : gFailpoints) row.resetCounters();
+  }
+};
+
+TEST_F(FailpointTest, EverySiteHasItsNameAndAStableNonZeroId) {
+  const char* const kNames[] = {"closure_spill", "deps_register",
+                                "table_insert",  "pool_carve",
+                                "task_invoke",   "addbuf_overflow",
+                                "serve_batch",   "deque_grow"};
+  static_assert(std::size(kNames) == kFailpointCount);
+  std::set<std::uint32_t> ids;
+  for (std::size_t i = 0; i < kFailpointCount; ++i) {
+    const Failpoint& row = failpoint(static_cast<FailpointId>(i));
+    EXPECT_STREQ(row.name(), kNames[i]);
+    EXPECT_EQ(row.id(), i + 1)
+        << "0 means 'not a failpoint' in trace payloads";
+    ids.insert(row.id());
+  }
+  EXPECT_EQ(ids.size(), kFailpointCount) << "ids are distinct";
 }
 
-TEST(FailpointTest, UnarmedSiteNeverEvaluates) {
+TEST_F(FailpointTest, UnknownSiteNameIsRejected) {
+  EXPECT_FALSE(armFailpointSpec("serve_btach:0.05:0:delay-us:20"));
+  EXPECT_FALSE(anyArmed()) << "a misspelled name must arm nothing";
+}
+
+// At the three delay-only rows a throw would lose a task or unwind
+// through a held lock, so every way of asking for one is refused.
+TEST_F(FailpointTest, DelayOnlySitesRefuseThrow) {
+  for (const FailpointId id : kDelayOnly) {
+    Failpoint& row = failpoint(id);
+    const std::string name = row.name();
+    EXPECT_FALSE(armFailpointSpec(name + ":1:1")) << "throw is the default";
+    EXPECT_FALSE(armFailpointSpec(name + ":1:1:throw")) << name;
+    EXPECT_FALSE(row.arm(FailpointMode::Throw, 1.0, 1)) << name;
+    EXPECT_FALSE(row.armed()) << name;
+
+    EXPECT_TRUE(armFailpointSpec(name + ":0.05:0:delay-us:20")) << name;
+    EXPECT_EQ(row.mode(), FailpointMode::DelayUs);
+    row.disarm();
+    EXPECT_TRUE(armFailpointSpec(name + ":1:1:abort")) << name;
+    EXPECT_EQ(row.mode(), FailpointMode::Abort);
+    row.disarm();
+  }
+}
+
+TEST_F(FailpointTest, UnarmedSiteNeverEvaluates) {
   for (int i = 0; i < 1000; ++i) EXPECT_FALSE(hitTestSite());
   EXPECT_EQ(testSite().evaluations(), 0u)
       << "unarmed passes must not reach the slow path at all";
 }
 
-TEST(FailpointTest, CountBudgetFiresExactlyNThenSelfDisarms) {
+TEST_F(FailpointTest, CountBudgetFiresExactlyNThenSelfDisarms) {
   testSite().arm(FailpointMode::Throw, 1.0, 3);
   int thrown = 0;
   for (int i = 0; i < 100; ++i) thrown += hitTestSite() ? 1 : 0;
@@ -55,7 +106,7 @@ TEST(FailpointTest, CountBudgetFiresExactlyNThenSelfDisarms) {
   EXPECT_FALSE(testSite().armed()) << "budget spent => back to one-load path";
 }
 
-TEST(FailpointTest, ZeroCountMeansUnlimited) {
+TEST_F(FailpointTest, ZeroCountMeansUnlimited) {
   testSite().arm(FailpointMode::Throw, 1.0, 0);
   for (int i = 0; i < 50; ++i) EXPECT_TRUE(hitTestSite());
   EXPECT_TRUE(testSite().armed());
@@ -63,7 +114,7 @@ TEST(FailpointTest, ZeroCountMeansUnlimited) {
   EXPECT_FALSE(hitTestSite());
 }
 
-TEST(FailpointTest, ProbabilityZeroEvaluatesButNeverFires) {
+TEST_F(FailpointTest, ProbabilityZeroEvaluatesButNeverFires) {
   testSite().arm(FailpointMode::Throw, 0.0, 0);
   for (int i = 0; i < 1000; ++i) EXPECT_FALSE(hitTestSite());
   EXPECT_EQ(testSite().evaluations(), 1000u);
@@ -71,7 +122,7 @@ TEST(FailpointTest, ProbabilityZeroEvaluatesButNeverFires) {
   testSite().disarm();
 }
 
-TEST(FailpointTest, FractionalProbabilityFiresRoughlyProportionally) {
+TEST_F(FailpointTest, FractionalProbabilityFiresRoughlyProportionally) {
   testSite().arm(FailpointMode::Throw, 0.5, 0);
   int thrown = 0;
   const int kTrials = 4000;
@@ -82,9 +133,8 @@ TEST(FailpointTest, FractionalProbabilityFiresRoughlyProportionally) {
   EXPECT_LT(thrown, 2158);
 }
 
-TEST(FailpointTest, CountBudgetIsExactUnderConcurrency) {
+TEST_F(FailpointTest, CountBudgetIsExactUnderConcurrency) {
   constexpr std::uint64_t kBudget = 64;
-  testSite().resetCounters();
   testSite().arm(FailpointMode::Throw, 1.0, kBudget);
   std::atomic<int> thrown{0};
   std::vector<std::thread> threads;
@@ -100,7 +150,7 @@ TEST(FailpointTest, CountBudgetIsExactUnderConcurrency) {
   EXPECT_EQ(testSite().fires(), kBudget);
 }
 
-TEST(FailpointTest, DelayModeSleepsInsteadOfThrowing) {
+TEST_F(FailpointTest, DelayModeSleepsInsteadOfThrowing) {
   testSite().arm(FailpointMode::DelayUs, 1.0, 2, /*delayUs=*/100);
   EXPECT_FALSE(hitTestSite());
   EXPECT_FALSE(hitTestSite());
@@ -108,54 +158,54 @@ TEST(FailpointTest, DelayModeSleepsInsteadOfThrowing) {
   EXPECT_FALSE(testSite().armed());
 }
 
-TEST(FailpointTest, ArmFromSpecParsesAllFields) {
-  auto& registry = FailpointRegistry::instance();
-  EXPECT_TRUE(registry.armFromSpec("spec_fp:0.25:7"));
-  Failpoint& fp = registry.site("spec_fp");
+TEST_F(FailpointTest, ArmFromSpecParsesAllFields) {
+  Failpoint& fp = testSite();
+  EXPECT_TRUE(armFailpointSpec("closure_spill:0.25:7"));
   EXPECT_TRUE(fp.armed());
   EXPECT_EQ(fp.mode(), FailpointMode::Throw) << "throw is the default mode";
   fp.disarm();
 
-  EXPECT_TRUE(registry.armFromSpec("spec_fp:1:1:delay-us:250"));
+  EXPECT_TRUE(armFailpointSpec("closure_spill:1:1:delay-us:250"));
   EXPECT_EQ(fp.mode(), FailpointMode::DelayUs);
   fp.disarm();
 
-  EXPECT_TRUE(registry.armFromSpec("spec_fp:1:1:abort"));
+  EXPECT_TRUE(armFailpointSpec("closure_spill:1:1:abort"));
   EXPECT_EQ(fp.mode(), FailpointMode::Abort);
   fp.disarm();
 }
 
-TEST(FailpointTest, ArmFromSpecRejectsMalformedInput) {
-  auto& registry = FailpointRegistry::instance();
-  EXPECT_FALSE(registry.armFromSpec(""));
-  EXPECT_FALSE(registry.armFromSpec("justname"));
-  EXPECT_FALSE(registry.armFromSpec("name:0.5"));          // missing count
-  EXPECT_FALSE(registry.armFromSpec(":0.5:0"));            // empty name
-  EXPECT_FALSE(registry.armFromSpec("name:notanum:0"));    // bad prob
-  EXPECT_FALSE(registry.armFromSpec("name:1.5:0"));        // prob > 1
-  EXPECT_FALSE(registry.armFromSpec("name:-0.1:0"));       // prob < 0
-  EXPECT_FALSE(registry.armFromSpec("name:0.5:x"));        // bad count
-  EXPECT_FALSE(registry.armFromSpec("name:0.5:0:explode"));  // bad mode
-  EXPECT_FALSE(registry.armFromSpec("name:1:1:delay-us:zz"));  // bad delay
-  EXPECT_FALSE(registry.armFromSpec("a:1:1:throw:0:extra"));   // 6 fields
+TEST_F(FailpointTest, ArmFromSpecRejectsMalformedInput) {
+  EXPECT_FALSE(armFailpointSpec(""));
+  EXPECT_FALSE(armFailpointSpec("task_invoke"));
+  EXPECT_FALSE(armFailpointSpec("task_invoke:0.5"));        // missing count
+  EXPECT_FALSE(armFailpointSpec(":0.5:0"));                 // empty name
+  EXPECT_FALSE(armFailpointSpec("task_invoke:notanum:0"));  // bad prob
+  EXPECT_FALSE(armFailpointSpec("task_invoke:1.5:0"));      // prob > 1
+  EXPECT_FALSE(armFailpointSpec("task_invoke:-0.1:0"));     // prob < 0
+  EXPECT_FALSE(armFailpointSpec("task_invoke:0.5:x"));      // bad count
+  EXPECT_FALSE(armFailpointSpec("task_invoke:0.5:0:explode"));  // bad mode
+  EXPECT_FALSE(armFailpointSpec("task_invoke:1:1:delay:20"));   // delay-us
+  EXPECT_FALSE(armFailpointSpec("task_invoke:1:1:delay-us:zz"));  // bad delay
+  EXPECT_FALSE(armFailpointSpec("task_invoke:1:1:throw:0:x"));  // 6 fields
+  EXPECT_FALSE(anyArmed());
 }
 
-TEST(FailpointTest, DisarmAllSweepsEveryNode) {
-  auto& registry = FailpointRegistry::instance();
-  registry.arm("sweep_a", FailpointMode::Throw, 1.0, 0);
-  registry.arm("sweep_b", FailpointMode::DelayUs, 1.0, 0, 10);
-  registry.disarmAll();
-  for (Failpoint* fp : registry.all()) EXPECT_FALSE(fp->armed());
+TEST_F(FailpointTest, DisarmAllSweepsEveryNode) {
+  ASSERT_TRUE(testSite().arm(FailpointMode::Throw, 1.0, 0));
+  ASSERT_TRUE(failpoint(FailpointId::serve_batch)
+                  .arm(FailpointMode::DelayUs, 1.0, 0, 10));
+  disarmAllFailpoints();
+  EXPECT_FALSE(anyArmed());
 }
 
-TEST(FailpointTest, ErrorCarriesTheSiteRegistryId) {
+TEST_F(FailpointTest, ErrorCarriesTheSiteRegistryId) {
   testSite().arm(FailpointMode::Throw, 1.0, 1);
   try {
-    ATS_FAILPOINT(test_site);
+    ATS_FAILPOINT(closure_spill);
     FAIL() << "armed prob-1 site must throw";
   } catch (const FailpointError& error) {
     EXPECT_EQ(error.id(), testSite().id());
-    EXPECT_NE(std::string(error.what()).find("test_site"),
+    EXPECT_NE(std::string(error.what()).find("closure_spill"),
               std::string::npos);
   }
 }
@@ -163,7 +213,16 @@ TEST(FailpointTest, ErrorCarriesTheSiteRegistryId) {
 TEST(FailpointAbortDeathTest, AbortModeDiesThroughFatal) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   testSite().arm(FailpointMode::Abort, 1.0, 1);
-  EXPECT_DEATH(hitTestSite(), "ats: FATAL .*failpoint 'test_site' fired");
+  EXPECT_DEATH(hitTestSite(), "ats: FATAL .*failpoint 'closure_spill' fired");
+}
+
+// ATS_FAILPOINTS goes through armFailpointList before main, so a spec
+// that cannot be armed stops the process there instead of leaving a
+// drill that perturbs nothing.
+TEST(FailpointAbortDeathTest, UnarmableEnvironmentSpecIsFatal) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(armFailpointList("task_invoke:0.01:0,serve_batch:0.05:0"),
+               "ats: FATAL .*cannot arm 'serve_batch:0.05:0'");
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.hpp"
 #include "instr/noise_injector.hpp"
 #include "instr/trace_analyzer.hpp"
 #include "instr/trace_writer.hpp"
@@ -199,10 +200,11 @@ TEST(TraceWriterTest, ReadRejectsMissingAndCorruptFiles) {
   EXPECT_TRUE(out.empty());
 
   // Stale format versions must be rejected loudly: v3 and v4 packed a
-  // local/remote split into every SchedServe payload, which a v5 reader
-  // would misread as one huge hand-off count.
-  static_assert(TraceWriter::kVersion == 5);
-  for (const std::uint32_t stale : {3u, 4u}) {
+  // local/remote split into every SchedServe payload, which a v6 reader
+  // would misread as one huge hand-off count, and a v5 TaskFailed id
+  // followed the writer's first-touch order, so its name would be wrong.
+  static_assert(TraceWriter::kVersion == 6);
+  for (const std::uint32_t stale : {3u, 4u, 5u}) {
     header.version = stale;
     header.recordCount = 0;
     f = std::fopen(path.c_str(), "wb");
@@ -218,10 +220,19 @@ TEST(TraceWriterTest, ReadRejectsMissingAndCorruptFiles) {
 TEST(TraceWriterTest, TextRenderingNamesEveryEvent) {
   std::vector<TraceRecord> records;
   records.push_back({1000, 42, TraceEvent::SchedServe, 2, 0});
+  const std::uint32_t taskInvoke = failpoint(FailpointId::task_invoke).id();
+  records.push_back({2000, taskInvoke, TraceEvent::TaskFailed, 1, 0});
+  records.push_back({3000, 0, TraceEvent::TaskFailed, 1, 0});
   const std::string text = TraceWriter::renderText(records);
   EXPECT_NE(text.find("SchedServe"), std::string::npos);
   EXPECT_NE(text.find("s02"), std::string::npos);
   EXPECT_NE(text.find("42"), std::string::npos);
+  EXPECT_NE(text.find("  " + std::to_string(taskInvoke) + " (task_invoke)\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("  0\n"), std::string::npos)
+      << "an exception from the body names no failpoint\n"
+      << text;
 }
 
 // -------------------------------------------------------- TraceAnalyzer

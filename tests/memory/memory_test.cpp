@@ -219,10 +219,10 @@ TEST(PoolAllocatorTest, CarveFailureLeavesTheDepotAsItWas) {
 
     const std::size_t depotBefore = pool.testDepotFree(kSize);
     const std::size_t reservedBefore = pool.reservedBytes();
-    FailpointRegistry::instance().arm("pool_carve", FailpointMode::Throw,
-                                      1.0, 1);
+    Failpoint& site = failpoint(FailpointId::pool_carve);
+    ASSERT_TRUE(site.arm(FailpointMode::Throw, 1.0, 1));
     EXPECT_THROW(pool.allocate(kSize), FailpointError);
-    FailpointRegistry::instance().disarm("pool_carve");
+    site.disarm();
     EXPECT_EQ(pool.testDepotFree(kSize), depotBefore);
     EXPECT_EQ(pool.reservedBytes(), reservedBefore);
     EXPECT_EQ(pool.testLocalMagazineFill(kSize), 0u);

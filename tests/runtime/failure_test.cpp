@@ -203,11 +203,11 @@ TEST_P(FailureMatrixTest, SpawnFailureAtDepsRegisterIsClean) {
       executed.fetch_add(1, std::memory_order_relaxed);
     });
   }
-  FailpointRegistry::instance().arm("deps_register", FailpointMode::Throw,
-                                    1.0, 1);
+  Failpoint& site = failpoint(FailpointId::deps_register);
+  ASSERT_TRUE(site.arm(FailpointMode::Throw, 1.0, 1));
   long long obj = 0;
   EXPECT_THROW(rt.spawn({inout(obj)}, [] {}), FailpointError);
-  FailpointRegistry::instance().disarm("deps_register");
+  site.disarm();
 
   EXPECT_NO_THROW(rt.taskwaitChecked())
       << "a spawn-side failure must not poison the graph";
@@ -235,11 +235,11 @@ TEST_P(FailureMatrixTest, SpawnFailureAtTableInsertIsClean) {
   Shared& s = *shared;
 
   rt->spawn({inout(s.known)}, [&s] { ++s.known; });
-  FailpointRegistry::instance().arm("table_insert", FailpointMode::Throw,
-                                    1.0, 1);
+  Failpoint& site = failpoint(FailpointId::table_insert);
+  ASSERT_TRUE(site.arm(FailpointMode::Throw, 1.0, 1));
   EXPECT_THROW(rt->spawn({inout(s.known), inout(s.fresh)}, [] {}),
                FailpointError);
-  FailpointRegistry::instance().disarm("table_insert");
+  site.disarm();
 
   rt->spawn({}, [&s] {
     while (!s.latch.load(std::memory_order_acquire))
@@ -277,10 +277,10 @@ TEST(FailpointSpawnTest, ClosureSpillFailureReclaimsTheDescriptor) {
   struct BigCapture {
     char bytes[128] = {};
   } big;
-  FailpointRegistry::instance().arm("closure_spill", FailpointMode::Throw,
-                                    1.0, 1);
+  Failpoint& site = failpoint(FailpointId::closure_spill);
+  ASSERT_TRUE(site.arm(FailpointMode::Throw, 1.0, 1));
   EXPECT_THROW(rt.spawn({}, [big] { (void)big; }), FailpointError);
-  FailpointRegistry::instance().disarm("closure_spill");
+  site.disarm();
   rt.taskwait();
   EXPECT_EQ(rt.liveDescriptors(), 0u);
 
@@ -467,22 +467,22 @@ TEST(TracedFailureTest, CallerCancelEmitsDistinctPayload) {
   EXPECT_TRUE(sawCallerCancel);
 }
 
-// TaskFailed payload carries the injecting failpoint's registry id, so
-// trace readers can name the chokepoint without string matching.
+// TaskFailed payload carries the injecting failpoint's id, so trace
+// readers can name the chokepoint without string matching.
 TEST(TracedFailureTest, InjectedFailureStampsFailpointIdIntoPayload) {
   constexpr std::size_t kWorkers = 2;
   Tracer tracer(kWorkers, 1u << 12);
   RuntimeConfig config = testConfig(DepsKind::WaitFreeAsm,
                                     SchedulerKind::SyncDelegation, kWorkers);
   config.tracer = &tracer;
-  auto& registry = FailpointRegistry::instance();
-  const std::uint32_t expectId = registry.site("task_invoke").id();
+  Failpoint& site = failpoint(FailpointId::task_invoke);
+  const std::uint32_t expectId = site.id();
   {
     Runtime rt(config);
-    registry.arm("task_invoke", FailpointMode::Throw, 1.0, 1);
+    ASSERT_TRUE(site.arm(FailpointMode::Throw, 1.0, 1));
     rt.spawn({}, [] {});
     EXPECT_THROW(rt.taskwaitChecked(), FailpointError);
-    registry.disarm("task_invoke");
+    site.disarm();
   }
   bool sawStampedFailure = false;
   for (const TraceRecord& record : tracer.collect()) {

@@ -253,7 +253,7 @@ TEST(SyncSchedulerTest, PerCpuBuffersDrainFromAnyGetter) {
 class ServeBatchFailpoint {
  public:
   ServeBatchFailpoint(double prob, std::uint64_t delayUs)
-      : site_(FailpointRegistry::instance().site("serve_batch")) {
+      : site_(failpoint(FailpointId::serve_batch)) {
     site_.arm(FailpointMode::DelayUs, prob, 0, delayUs);
   }
   ~ServeBatchFailpoint() { restore(); }
@@ -270,7 +270,7 @@ class ServeBatchFailpoint {
       const std::size_t comma = std::min(env.find(',', start), env.size());
       const std::string spec = env.substr(start, comma - start);
       if (spec.rfind("serve_batch:", 0) == 0)
-        FailpointRegistry::instance().armFromSpec(spec);
+        armFailpointSpec(spec);
       start = comma + 1;
     }
   }
