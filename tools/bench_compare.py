@@ -12,9 +12,9 @@ primary metric (items_per_second when the bench reports it, real_time
 otherwise) and the relative delta.  Positive deltas mean the NEW run is
 better: items/sec counts up, time counts down.  Under
 --benchmark_repetitions a benchmark appears as several same-named
-iteration rows plus mean/median/stddev aggregates; the tool averages
-the iteration rows per name (equivalent to the mean aggregate) so no
-single noisy repetition decides a delta and aggregates never
+iteration rows plus mean/median/stddev aggregates; the tool takes the
+median of the iteration rows per name, so one repetition that lands on
+a high or low level moves neither side, and aggregates never
 double-count.
 
 Before the table it prints each file's host context (`num_cpus`,
@@ -32,6 +32,7 @@ Stdlib only; no third-party deps.
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -43,15 +44,15 @@ def load_benchmarks(path):
 
     rows maps name -> (metric_value, metric_kind) for the real benchmark
     rows.  Same-named iteration rows (one per --benchmark_repetitions
-    run) are averaged; aggregate rows are skipped so they cannot
-    double-count.  host maps each HOST_KEYS entry to its context value
-    (None when the file does not record it).
+    run) collapse to their median; aggregate rows are skipped so they
+    cannot double-count.  host maps each HOST_KEYS entry to its context
+    value (None when the file does not record it).
     """
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
     context = data.get("context", {})
     host = {key: context.get(key) for key in HOST_KEYS}
-    sums = {}
+    samples = {}  # name -> (values, kind)
     for bench in data.get("benchmarks", []):
         # Aggregates carry run_type == "aggregate"; plain runs either say
         # "iteration" or (older libbenchmark) omit the field.
@@ -66,13 +67,13 @@ def load_benchmarks(path):
             value, kind = float(bench["real_time"]), bench.get("time_unit", "ns")
         else:
             continue
-        total, count, prev_kind = sums.get(name, (0.0, 0, kind))
-        if prev_kind != kind:
+        values, first_kind = samples.setdefault(name, ([], kind))
+        if first_kind != kind:
             continue  # metric kind changed mid-file; keep the first kind
-        sums[name] = (total + value, count + 1, kind)
+        values.append(value)
     rows = {
-        name: (total / count, kind)
-        for name, (total, count, kind) in sums.items()
+        name: (statistics.median(values), kind)
+        for name, (values, kind) in samples.items()
     }
     return rows, host
 
