@@ -51,8 +51,6 @@ class Stopwatch {
  public:
   Stopwatch() : start_(nowNanos()) {}
 
-  void restart() { start_ = nowNanos(); }
-
   std::uint64_t elapsedNanos() const { return nowNanos() - start_; }
 
   double elapsedSeconds() const {

@@ -29,4 +29,10 @@ struct Topology {
 /// hardware concurrency (at least 1).
 Topology makeTopology(MachinePreset preset, std::size_t numCpus = 0);
 
+/// Pin the calling thread to host CPU `cpu` modulo the hardware
+/// concurrency.  Best effort: a refused affinity (cpuset restrictions,
+/// non-Linux) leaves the thread where it is, since pinning is a
+/// performance hint, never a correctness requirement.
+void pinCallingThread(std::size_t cpu);
+
 }  // namespace ats

@@ -135,8 +135,6 @@ class PoolAllocator final : public Allocator {
 
   Depot depots_[kNumClasses];
 
-  SpinLock chunkLock_;
-  std::vector<void*> chunks_;
   std::atomic<std::size_t> reservedBytes_{0};
 
   std::atomic<bool> poison_;

@@ -8,6 +8,7 @@
 #include <memory>
 #include <new>
 #include <span>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -25,8 +26,6 @@
 #include "runtime/task.hpp"
 
 namespace ats {
-
-class Watchdog;  // runtime/watchdog.hpp; only the .cpp needs the type
 
 /// The tasking runtime the paper benchmarks: worker threads (one per
 /// Topology CPU, pinned when the host has the cores for it) pulling from
@@ -214,6 +213,10 @@ class Runtime {
   /// Spawned minus retired, summed over the stripes in the order the
   /// quiescence argument needs (see SlotCounters): never a false zero.
   std::uint64_t tasksInFlight() const;
+  /// The stall watchdog, on its own thread when `watchdogTimeoutMs` is
+  /// set: with tasks in flight and none retired for the timeout, print
+  /// watchdogReport() and die through ats::fatal.
+  void watchdogLoop(std::stop_token stop);
   std::string watchdogReport() const;
 
   static void reclaimThunk(DepTask& task);
@@ -289,7 +292,7 @@ class Runtime {
   alignas(64) std::atomic<bool> stop_{false};
   alignas(64) GraphStatus graph_;
   std::vector<std::thread> workers_;
-  std::unique_ptr<Watchdog> watchdog_;  // destroyed first: see ~Runtime
+  std::jthread watchdog_;  // stopped first: see ~Runtime
 };
 
 }  // namespace ats

@@ -50,20 +50,13 @@ struct RuntimeConfig {
   bool immediateSuccessor = false;
 
   /// Stall watchdog (failure domains): 0 disables; a positive value
-  /// starts one monitor thread per Runtime that fires when tasks are in
-  /// flight but no task has retired for this many milliseconds — dumping
-  /// runtime state (and, through the fatal hook, the attached tracer's
-  /// rings) to stderr before aborting.  Set it to a bound no healthy
-  /// task should ever exceed; the false-positive analysis lives in
-  /// DESIGN.md "Failure domains".
+  /// starts one watchdog thread in the Runtime.  When tasks are in
+  /// flight but none has retired for this many milliseconds, it prints
+  /// the runtime's state report to stderr and dies through ats::fatal,
+  /// whose hook dumps the attached tracer's rings.  Idle is not a
+  /// stall.  Set it to a bound no healthy task should ever exceed; the
+  /// false-positive analysis lives in DESIGN.md "Failure domains".
   std::size_t watchdogTimeoutMs = 0;
-
-  /// Test/embedder hook: when non-null the watchdog calls this with the
-  /// state report instead of aborting, then keeps monitoring (re-arming
-  /// once progress resumes).  Plain function pointer + ctx to keep this
-  /// header <functional>-free.
-  void (*watchdogOnStall)(void* ctx, const char* report) = nullptr;
-  void* watchdogOnStallCtx = nullptr;
 
   /// Instrumentation backend (§5): the per-CPU ring tracer the runtime
   /// and scheduler emit into, or nullptr (the default) for the untraced

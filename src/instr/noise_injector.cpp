@@ -3,35 +3,9 @@
 #include <chrono>
 
 #include "common/timing.hpp"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
+#include "common/topology.hpp"
 
 namespace ats {
-
-namespace {
-
-/// Best-effort pin, mirroring the runtime's worker pinning: sharing the
-/// target worker's core is the whole point (the burst must displace it),
-/// but a host that refuses affinity still produces usable noise — the
-/// scheduler will put the burner *somewhere*, and on a loaded box that
-/// still preempts workers.
-void pinTo(std::size_t cpu) {
-#if defined(__linux__)
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(cpu % hw), &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)cpu;
-#endif
-}
-
-}  // namespace
 
 KernelNoiseInjector::KernelNoiseInjector(Tracer& tracer,
                                          std::uint64_t periodUs,
@@ -51,7 +25,11 @@ void KernelNoiseInjector::stop() {
 }
 
 void KernelNoiseInjector::run() {
-  pinTo(targetCpu_);
+  // Sharing the target worker's core is the whole point (the burst must
+  // displace it), but a host that refuses affinity still produces usable
+  // noise: the scheduler puts the burner *somewhere*, and on a loaded box
+  // that still preempts workers.
+  pinCallingThread(targetCpu_);
   const std::size_t stream = tracer_.kernelStream();
   while (!stop_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(

@@ -264,10 +264,6 @@ void PoolAllocator::carveChunk(Depot& depot, std::size_t cls) {
   // guarantee.  Chunks are never freed, so no aligned delete pairs this.
   char* chunk = static_cast<char*>(
       ::operator new(bytes, std::align_val_t{kChunkAlignment}));
-  {
-    std::lock_guard<SpinLock> guard(chunkLock_);
-    chunks_.push_back(chunk);
-  }
   reservedBytes_.fetch_add(bytes, std::memory_order_relaxed);
 
   depot.carved = carved;

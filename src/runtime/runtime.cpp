@@ -1,6 +1,8 @@
 #include "runtime/runtime.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -8,15 +10,13 @@
 #include <string>
 
 #include "common/fatal.hpp"
+#include "common/topology.hpp"
 #include "instr/trace_writer.hpp"
 #include "instr/tracer.hpp"
 #include "memory/pool_allocator.hpp"
 #include "memory/system_allocator.hpp"
-#include "runtime/watchdog.hpp"
 
 #if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
 #include <unistd.h>
 #endif
 
@@ -37,25 +37,6 @@ thread_local std::size_t tlsCpu = kNoCpu;
 /// spawner-helps case (a task body the SPAWNER is executing calls
 /// taskwait: callerCpu() alone cannot tell it from the real spawner).
 thread_local int tlsInTaskDepth = 0;
-
-/// Pin a worker to its topology CPU.  Only attempted when the host
-/// actually has a core per worker — pinning an oversubscribed runtime
-/// (CI boxes) just fences threads onto one another.  Failure (cpuset
-/// restrictions, non-Linux) is silently tolerated: affinity is a
-/// performance hint, never a correctness requirement.
-void pinWorker(std::size_t cpu, std::size_t numWorkers) {
-#if defined(__linux__)
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0 || hw < numWorkers) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(cpu % hw), &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)cpu;
-  (void)numWorkers;
-#endif
-}
 
 /// Fatal hook: dump the runtime's tracer rings to a binary trace so a
 /// crash leaves per-worker activity right up to the abort on disk.
@@ -134,27 +115,18 @@ Runtime::Runtime(RuntimeConfig config) : config_(std::move(config)) {
   }
 
   if (config_.watchdogTimeoutMs > 0) {
-    Watchdog::Options options;
-    options.timeout = std::chrono::milliseconds(config_.watchdogTimeoutMs);
-    options.progress = [this] { return tasksRetired(); };
-    options.busy = [this] { return tasksInFlight() != 0; };
-    options.report = [this] { return watchdogReport(); };
-    if (config_.watchdogOnStall != nullptr) {
-      options.onStall = [fn = config_.watchdogOnStall,
-                         ctx = config_.watchdogOnStallCtx](
-                            const std::string& report) {
-        fn(ctx, report.c_str());
-      };
-    }
-    watchdog_ = std::make_unique<Watchdog>(std::move(options));
+    watchdog_ = std::jthread(
+        [this](std::stop_token stop) { watchdogLoop(std::move(stop)); });
   }
 }
 
 Runtime::~Runtime() {
-  // Monitor first: its progress/busy/report callbacks read members this
-  // destructor is about to tear down, so it must be gone before any of
-  // them are.
-  watchdog_.reset();
+  // Watchdog first: its loop reads members this destructor is about to
+  // tear down, so it must be gone before any of them are.
+  if (watchdog_.joinable()) {
+    watchdog_.request_stop();
+    watchdog_.join();
+  }
   taskwait();
   stop_.store(true, std::memory_order_release);
   for (std::thread& worker : workers_) worker.join();
@@ -305,7 +277,11 @@ Task* Runtime::executeTask(Task* task, std::size_t cpu) {
 
 void Runtime::workerLoop(std::size_t cpu) {
   tlsCpu = cpu;
-  pinWorker(cpu, config_.topo.numCpus);
+  // Pin only when the host has a core per worker: pinning an
+  // oversubscribed runtime (CI boxes) just fences threads onto one
+  // another.
+  if (std::thread::hardware_concurrency() >= config_.topo.numCpus)
+    pinCallingThread(cpu);
   // §5 emissions are edge-triggered (idle streak begin/end, task
   // start/end), never per-poll, so a traced worker's event volume is
   // O(tasks) — and every site is null-guarded, so the untraced loop is
@@ -425,6 +401,41 @@ void Runtime::quiesce() {
   // this, every descriptor is back in the allocator.
   deps_->reset();
   assert(liveDescriptors() == 0 && "descriptors leaked past quiescence");
+}
+
+void Runtime::watchdogLoop(std::stop_token stop) {
+  using Clock = std::chrono::steady_clock;
+  const std::chrono::milliseconds timeout(config_.watchdogTimeoutMs);
+  // Poll at a quarter of the timeout so detection lands within
+  // [timeout, timeout + poll] of the last retirement, clamped so a tiny
+  // test timeout does not busy-poll and a huge production one still
+  // notices destruction promptly.  The stop token wakes the wait, so
+  // ~Runtime never waits out a poll.
+  const auto poll = std::clamp(timeout / 4, std::chrono::milliseconds(10),
+                               std::chrono::milliseconds(1000));
+  std::mutex lock;
+  std::condition_variable_any wake;
+  std::unique_lock<std::mutex> guard(lock);
+  std::uint64_t lastProgress = tasksRetired();
+  Clock::time_point lastChange = Clock::now();
+  while (!wake.wait_for(guard, stop, poll,
+                        [&stop] { return stop.stop_requested(); })) {
+    const std::uint64_t progress = tasksRetired();
+    const Clock::time_point now = Clock::now();
+    // Progress restarts the clock, and so does idle quiescence: an idle
+    // runtime is not stalled, and the next batch gets a full timeout
+    // from its first dequeue.
+    if (progress != lastProgress || tasksInFlight() == 0) {
+      lastProgress = progress;
+      lastChange = now;
+    } else if (now - lastChange >= timeout) {
+      std::fprintf(stderr, "%s", watchdogReport().c_str());
+      fatal("watchdog: no completion progress for %lld ms with work in "
+            "flight — dumping state and aborting (see report above; the "
+            "fatal hook flushes the attached tracer to ATS_TRACE_DIR)",
+            static_cast<long long>(timeout.count()));
+    }
+  }
 }
 
 std::string Runtime::watchdogReport() const {
